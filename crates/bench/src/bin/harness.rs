@@ -1,6 +1,6 @@
 //! Evaluation harness: regenerates every table and figure of the
-//! reconstructed evaluation (see `DESIGN.md` §3 and `EXPERIMENTS.md`) and
-//! hosts the machine-readable smoke benchmarks CI archives.
+//! reconstructed evaluation and hosts the machine-readable smoke benchmarks
+//! CI archives.
 //!
 //! Usage:
 //!
@@ -24,8 +24,8 @@ Flags (each prints one JSON document to stdout):
   --smoke        quick kernel smoke benchmark        (qkd-bench-smoke/v1)
   --pipelined    sequential-vs-pipelined comparison  (qkd-bench-pipelined/v1)
   --fleet        multi-link fleet over a shared pool: FIFO-vs-WFQ policy
-                 cells, cost-model placement and a
-                 links x workers grid              (qkd-bench-fleet/v2)
+                 cells, host vs placed-modeled stage time and a
+                 links x workers grid              (qkd-bench-fleet/v3)
   --api          ETSI 014 delivery: keep-alive vs per-request connection
                  sweep, 64-4096 concurrent SAEs   (qkd-bench-api/v2)
   --journal      journaled vs in-memory store: deposit/redeem
@@ -44,9 +44,11 @@ Experiments (aligned text tables):
   table2         LDPC decoder throughput by backend and block size
   table3         reconciliation efficiency: Cascade vs rate-adaptive LDPC
   fig1           secret-key rate vs fibre distance
-  fig2           end-to-end modeled throughput vs block size per backend
+  fig2           end-to-end throughput vs block size: cpu row measured,
+                 accelerator rows modeled from the same stage times
   fig3           Toeplitz privacy-amplification throughput
-  fig4           pipeline/scheduler policy comparison
+  fig4           placement table: calibrated decode + hash cost per
+                 placement and block size, and the scheduler's pick
   fig5           LDPC offload latency crossover
   fig6           Cascade interactivity cost vs channel RTT
   fig7           finite-key secret fraction vs block size

@@ -4,12 +4,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qkd_cascade::{CascadeConfig, CascadeReconciler};
-use qkd_core::{
-    ChannelModel, ExecutionBackend, PipelineOptions, PostProcessingConfig, PostProcessor,
-};
+use qkd_core::{BlockResult, ChannelModel, PipelineOptions, PostProcessingConfig, PostProcessor};
 use qkd_hetero::{
-    scheduler::pipeline_task_graph, CostModel, CpuDevice, Device, KernelKind, KernelTask,
-    SchedulePolicy, Scheduler, SimFpga, SimGpu,
+    decide_placement, kernel_for_stage, modeled_time, CostCalibrator, CostModel, CpuDevice, Device,
+    DeviceKind, KernelKind, KernelTask, LinkPlacement, SimFpga, SimGpu, StageMetrics,
+    ThroughputReport,
 };
 use qkd_ldpc::{
     DecoderAlgorithm, DecoderConfig, DecoderScratch, LdpcReconciler, ParityCheckMatrix,
@@ -182,32 +181,64 @@ pub fn fig1() {
     println!("(expected shape: exponential decay, zero beyond ~170-200 km)");
 }
 
+/// Distils [`CostCalibrator::MIN_SAMPLES`] blocks of `block` bits on the
+/// host and fits a fresh calibrator to their measured stage times — the
+/// warm-up a fleet link goes through before placement may leave the CPU.
+/// Returns the fit and the last block's result.
+fn calibrate_on_host(block: usize) -> (CostCalibrator, BlockResult) {
+    let mut config = PostProcessingConfig::for_block_size(block);
+    config.trust_external_qber = true;
+    let mut proc = PostProcessor::new(config, 5).unwrap();
+    let mut src = CorrelatedKeySource::new(block, 0.02, 41).unwrap();
+    let mut report = ThroughputReport::default();
+    let mut last = None;
+    for _ in 0..CostCalibrator::MIN_SAMPLES {
+        let blk = src.next_block();
+        let result = proc.process_sifted_block(&blk.alice, &blk.bob).unwrap();
+        for (label, host) in &result.stage_times {
+            let mut metrics = StageMetrics::default();
+            metrics.record(*host, *host, block, block);
+            report.record_stage(label.name(), metrics);
+        }
+        last = Some(result);
+    }
+    let mut calibrator = CostCalibrator::new();
+    calibrator.observe_report(&report);
+    (calibrator, last.expect("MIN_SAMPLES is positive"))
+}
+
 /// Figure 2 — end-to-end post-processing throughput vs block size per backend.
+/// Each block size runs on the host only; the accelerator rows are the same
+/// measured stage times with the decode and the hash re-priced by the
+/// calibrated cost model ([`qkd_hetero::modeled_time`]).
 pub fn fig2() {
     header(
-        "Figure 2: end-to-end modeled throughput vs block size",
+        "Figure 2: end-to-end throughput vs block size (cpu measured, accelerators modeled)",
         &format!(
-            "{:<10} {:<10} {:>16} {:>16}",
-            "block", "backend", "block time (ms)", "Mbit/s"
+            "{:<10} {:<16} {:>16} {:>16}",
+            "block", "placement", "block time (ms)", "Mbit/s"
         ),
     );
     for &block in &[8_192usize, 32_768, 131_072] {
-        for backend in [
-            ExecutionBackend::CpuSingle,
-            ExecutionBackend::SimGpu,
-            ExecutionBackend::SimFpga,
+        let (calibrator, result) = calibrate_on_host(block);
+        for placement in [
+            LinkPlacement::Cpu,
+            LinkPlacement::Whole(DeviceKind::SimGpu),
+            LinkPlacement::Whole(DeviceKind::SimFpga),
         ] {
-            let mut config = PostProcessingConfig::for_block_size(block).with_backend(backend);
-            config.trust_external_qber = true;
-            let mut proc = PostProcessor::new(config, 5).unwrap();
-            let mut src = CorrelatedKeySource::new(block, 0.02, 41).unwrap();
-            let blk = src.next_block();
-            let result = proc.process_sifted_block(&blk.alice, &blk.bob).unwrap();
-            let t = result.total_time();
+            let t: Duration = result
+                .stage_times
+                .iter()
+                .map(|(label, host)| {
+                    kernel_for_stage(label.name()).map_or(*host, |kind| {
+                        modeled_time(&calibrator, placement, kind, block, *host)
+                    })
+                })
+                .sum();
             println!(
-                "{:<10} {:<10} {:>16.3} {:>16.2}",
+                "{:<10} {:<16} {:>16.3} {:>16.2}",
                 block,
-                backend.label(),
+                placement.label(),
                 t.as_secs_f64() * 1e3,
                 mbps(block as f64, t)
             );
@@ -268,57 +299,52 @@ pub fn fig3() {
     println!("(expected shape: naive collapses, clmul scales, GPU advantage grows with n)");
 }
 
-/// Figure 4 — pipeline/scheduler policy comparison.
+/// Figure 4 — placement table: calibrated cost of the two offloadable
+/// kernels (LDPC decode + Toeplitz hash) under every placement the fleet
+/// scheduler considers, per block size, and the one it picks.
 pub fn fig4() {
-    header(
-        "Figure 4: scheduler policy comparison (32 blocks x 256 kbit)",
-        &format!(
-            "{:<22} {:>14} {:>14} {:>10} {:>10} {:>10}",
-            "policy", "makespan (ms)", "blocks/s", "cpu", "gpu", "fpga"
-        ),
-    );
-    let tasks = pipeline_task_graph(32, 1 << 18);
-    let devices = vec![
-        ("cpu".to_string(), CostModel::cpu_core()),
-        ("gpu".to_string(), CostModel::sim_gpu()),
-        ("fpga".to_string(), CostModel::sim_fpga()),
+    let candidates = [
+        LinkPlacement::Cpu,
+        LinkPlacement::DecodeOnly(DeviceKind::SimGpu),
+        LinkPlacement::DecodeOnly(DeviceKind::SimFpga),
+        LinkPlacement::Whole(DeviceKind::SimGpu),
+        LinkPlacement::Whole(DeviceKind::SimFpga),
     ];
-    let cpu_only = SchedulePolicy::static_mapping(&[
-        (KernelKind::Sift, 0),
-        (KernelKind::Syndrome, 0),
-        (KernelKind::LdpcDecode, 0),
-        (KernelKind::ToeplitzHash, 0),
-        (KernelKind::PolyMac, 0),
-    ]);
-    let static_offload = SchedulePolicy::static_mapping(&[
-        (KernelKind::Sift, 0),
-        (KernelKind::Syndrome, 2),
-        (KernelKind::LdpcDecode, 1),
-        (KernelKind::ToeplitzHash, 1),
-        (KernelKind::PolyMac, 0),
-    ]);
-    for (name, policy) in [
-        ("static cpu-only", cpu_only),
-        ("static offload", static_offload),
-        (
-            "greedy earliest-finish",
-            SchedulePolicy::GreedyEarliestFinish,
-        ),
-        ("heft", SchedulePolicy::Heft),
-    ] {
-        let sched = Scheduler::new(devices.clone(), policy).unwrap();
-        let sim = sched.simulate(&tasks).unwrap();
-        println!(
-            "{:<22} {:>14.3} {:>14.1} {:>10.2} {:>10.2} {:>10.2}",
-            name,
-            sim.makespan.as_secs_f64() * 1e3,
-            sim.blocks_per_sec(32),
-            sim.utilisation(0),
-            sim.utilisation(1),
-            sim.utilisation(2)
-        );
+    let mut columns = format!("{:<10}", "block");
+    for c in &candidates {
+        columns.push_str(&format!(" {:>16}", c.label()));
     }
-    println!("(expected shape: heft >= greedy >= static offload >> cpu-only)");
+    columns.push_str("  decision");
+    header(
+        "Figure 4: modeled decode + hash cost per placement (ms; fit warmed on 16 kbit host blocks)",
+        &columns,
+    );
+    let (calibrator, _) = calibrate_on_host(16_384);
+    let cpu = DeviceKind::Cpu.cost_model();
+    for &block in &[4_096usize, 16_384, 65_536, 262_144] {
+        let cost = |placement| -> Duration {
+            [KernelKind::LdpcDecode, KernelKind::ToeplitzHash]
+                .into_iter()
+                .map(|kind| {
+                    let host = calibrator.predict(&cpu, kind, block);
+                    modeled_time(&calibrator, placement, kind, block, host)
+                })
+                .sum()
+        };
+        let decision = decide_placement(&calibrator, block);
+        let cheapest = cost(decision);
+        let mut row = format!("{block:<10}");
+        for c in candidates {
+            let t = cost(c);
+            assert!(
+                cheapest <= t,
+                "the decision must be the cheapest candidate at {block} bits"
+            );
+            row.push_str(&format!(" {:>16.4}", t.as_secs_f64() * 1e3));
+        }
+        println!("{row}  {}", decision.label());
+    }
+    println!("(expected shape: every offload beats the host; the GPU's launch cost keeps the hash off it until blocks grow)");
 }
 
 /// Figure 5 — offload crossover: per-block latency vs block size per device.
@@ -570,24 +596,6 @@ pub fn smoke() {
         "full_block_16k",
         t.as_secs_f64() * 1e3,
         mbps(block as f64, t),
-    ));
-
-    // Modeled heterogeneous schedule for reference (no wall-clock component).
-    let tasks = pipeline_task_graph(8, 1 << 16);
-    let sched = Scheduler::new(
-        vec![
-            ("cpu".to_string(), CostModel::cpu_core()),
-            ("gpu".to_string(), CostModel::sim_gpu()),
-            ("fpga".to_string(), CostModel::sim_fpga()),
-        ],
-        SchedulePolicy::Heft,
-    )
-    .unwrap();
-    let sim = sched.simulate(&tasks).unwrap();
-    results.push((
-        "heft_schedule_8x64k_modeled",
-        sim.makespan.as_secs_f64() * 1e3,
-        mbps(8.0 * (1 << 16) as f64, sim.makespan),
     ));
 
     // Hand-rolled JSON so the harness stays dependency-free.
@@ -891,8 +899,10 @@ pub fn smoke_pipelined() {
 
     let mut json = String::from("{\n  \"schema\": \"qkd-bench-pipelined/v1\",\n");
     json.push_str(&format!(
-        "  \"blocks\": {blocks},\n  \"block_bits\": {block},\n  \"shards\": {},\n  \"channel_capacity\": {},\n",
-        options.shards, options.channel_capacity
+        "  \"nproc\": {},\n  \"blocks\": {blocks},\n  \"block_bits\": {block},\n  \"shards\": {},\n  \"channel_capacity\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        options.shards,
+        options.channel_capacity
     ));
     json.push_str(&format!(
         "  \"sequential\": {{\"ms\": {:.3}, \"blocks_per_s\": {:.2}}},\n",
@@ -985,12 +995,11 @@ const WFQ_WEIGHTED_JAIN_FLOOR: f64 = 0.9;
 /// [`POLICY_WEIGHTS`] entitlements on a single worker, a fixed arrival
 /// schedule (`epochs` epochs of `blocks` blocks per link, no burstiness so
 /// per-batch service is comparable), drained under the given queueing
-/// policy, placement policy and dispatch budget.
+/// policy and dispatch budget.
 fn run_policy_cell(
     block: usize,
     seed: u64,
     policy: qkd_manager::SchedPolicy,
-    placement: qkd_manager::PlacementPolicy,
     budget: Option<usize>,
     epochs: usize,
     blocks: usize,
@@ -999,7 +1008,6 @@ fn run_policy_cell(
         .with_workers(1)
         .with_max_backlog(64)
         .with_policy(policy)
-        .with_placement(placement)
         .with_batch_budget(budget);
     let mut fleet = qkd_manager::LinkManager::new(config).unwrap();
     for (i, weight) in POLICY_WEIGHTS.iter().enumerate() {
@@ -1021,22 +1029,23 @@ fn run_policy_cell(
     report
 }
 
-/// Fleet benchmark (`qkd-bench-fleet/v2`): many links share one bounded
+/// Fleet benchmark (`qkd-bench-fleet/v3`): many links share one bounded
 /// worker pool under the cost-model scheduler, depositing into the key
 /// store.
 ///
 /// Three parts:
 ///
-/// * **Determinism check** — every link of a mixed fleet (under the default
-///   WFQ + cost-model-placement config) is replayed on a solo engine with
-///   the same seed; delivered keys must be bit-identical
-///   (`keys_identical`), with the key-store ledger reconciled exactly.
+/// * **Determinism check** — every link of a mixed fleet (default config) is
+///   replayed on a solo engine with the same seed; delivered keys must be
+///   bit-identical (`keys_identical`), with the key-store ledger reconciled
+///   exactly.
 /// * **Policy cells** — FIFO vs WFQ on identical contended workloads
 ///   (a `batch_budget` stops each drain before backlogs empty, so service
-///   shares are observable). Gates: WFQ's weighted Jain fairness must be
-///   ≥ [`WFQ_WEIGHTED_JAIN_FLOOR`] and must beat FIFO's; the full-drain
-///   WFQ + cost-model-placement cell must beat the FIFO + CPU baseline on
-///   modeled aggregate output rate.
+///   shares are observable), plus one full WFQ drain. Gates: WFQ's weighted
+///   Jain fairness must be ≥ [`WFQ_WEIGHTED_JAIN_FLOOR`] and must beat
+///   FIFO's; in the full drain placement must leave the CPU after warm-up
+///   and its modeled stage time must undercut the host stage time the same
+///   run measured.
 /// * **Grid sweep** — aggregate rate and fairness vs worker and link count.
 pub fn smoke_fleet() {
     let total_start = std::time::Instant::now();
@@ -1045,7 +1054,7 @@ pub fn smoke_fleet() {
     let mean_blocks = 2usize;
     let seed = 0xF1EE7u64;
 
-    // Determinism + ledger check under the default (WFQ + cost-model) config.
+    // Determinism + ledger check under the default config.
     let check_workload = qkd_simulator::FleetWorkload::mixed(4, block, seed).unwrap();
     let (fleet, _, accepted) = run_fleet(
         &check_workload,
@@ -1103,7 +1112,6 @@ pub fn smoke_fleet() {
         block,
         seed,
         qkd_manager::SchedPolicy::Fifo,
-        qkd_manager::PlacementPolicy::Cpu,
         fair_budget,
         epochs,
         mean_blocks,
@@ -1112,28 +1120,17 @@ pub fn smoke_fleet() {
         block,
         seed,
         qkd_manager::SchedPolicy::Wfq,
-        qkd_manager::PlacementPolicy::Cpu,
         fair_budget,
         epochs,
         mean_blocks,
     );
-    // Full drains for the throughput comparison: the FIFO + CPU baseline vs
-    // the WFQ + cost-model scheduler that offloads modeled kernels once the
-    // calibrator warms up.
-    let fifo_full = run_policy_cell(
-        block,
-        seed,
-        qkd_manager::SchedPolicy::Fifo,
-        qkd_manager::PlacementPolicy::Cpu,
-        None,
-        epochs,
-        mean_blocks,
-    );
-    let wfq_placed = run_policy_cell(
+    // One full drain: the calibrator warms up on the first blocks, placement
+    // leaves the CPU, and the same report carries what the host measured and
+    // what the placed kernels are modeled to cost.
+    let wfq_full = run_policy_cell(
         block,
         seed,
         qkd_manager::SchedPolicy::Wfq,
-        qkd_manager::PlacementPolicy::CostModel,
         None,
         epochs,
         mean_blocks,
@@ -1151,16 +1148,29 @@ pub fn smoke_fleet() {
         wfq_fair.fairness_weighted()
     );
     assert!(
-        wfq_placed.modeled_output_bps() > fifo_full.modeled_output_bps(),
-        "WFQ + placement modeled rate {:.1} must beat the FIFO + CPU baseline {:.1}",
-        wfq_placed.modeled_output_bps(),
-        fifo_full.modeled_output_bps()
+        wfq_full.links.iter().any(|l| l.placement != "cpu"),
+        "placement must leave the CPU once the calibrator is warm"
     );
+    assert!(
+        wfq_full.modeled_busy() < wfq_full.host_busy(),
+        "placed modeled stage time {:?} must undercut the measured host stage time {:?}",
+        wfq_full.modeled_busy(),
+        wfq_full.host_busy()
+    );
+    // Secret bits over the fleet's measured host stage time divided across
+    // the pool — the host-column twin of `modeled_output_bps`.
+    let host_stage_bps = |report: &qkd_manager::FleetReport| {
+        let secs = report.host_busy().as_secs_f64() / report.workers.max(1) as f64;
+        if secs <= 0.0 {
+            0.0
+        } else {
+            report.total_secret_bits() as f64 / secs
+        }
+    };
     let policy_cells = [
-        ("fifo+cpu/budgeted", &fifo_fair),
-        ("wfq+cpu/budgeted", &wfq_fair),
-        ("fifo+cpu/full", &fifo_full),
-        ("wfq+costmodel/full", &wfq_placed),
+        ("fifo/budgeted", &fifo_fair),
+        ("wfq/budgeted", &wfq_fair),
+        ("wfq/full", &wfq_full),
     ];
 
     // The sweep: aggregate rate and fairness vs worker and link count.
@@ -1181,16 +1191,16 @@ pub fn smoke_fleet() {
         }
     }
 
-    let mut json = String::from("{\n  \"schema\": \"qkd-bench-fleet/v2\",\n");
+    let mut json = String::from("{\n  \"schema\": \"qkd-bench-fleet/v3\",\n");
     json.push_str(&format!(
         "  \"block_bits\": {block},\n  \"epochs\": {epochs},\n  \"mean_blocks\": {mean_blocks},\n  \"keys_identical\": true,\n"
     ));
     json.push_str(&format!(
-        "  \"gates\": {{\"wfq_weighted_jain_floor\": {WFQ_WEIGHTED_JAIN_FLOOR}, \"wfq_weighted_jain\": {:.4}, \"fifo_weighted_jain\": {:.4}, \"wfq_placed_modeled_bps\": {:.1}, \"fifo_cpu_modeled_bps\": {:.1}}},\n",
+        "  \"gates\": {{\"wfq_weighted_jain_floor\": {WFQ_WEIGHTED_JAIN_FLOOR}, \"wfq_weighted_jain\": {:.4}, \"fifo_weighted_jain\": {:.4}, \"full_drain_modeled_stage_ms\": {:.3}, \"full_drain_host_stage_ms\": {:.3}}},\n",
         wfq_fair.fairness_weighted(),
         fifo_fair.fairness_weighted(),
-        wfq_placed.modeled_output_bps(),
-        fifo_full.modeled_output_bps(),
+        wfq_full.modeled_busy().as_secs_f64() * 1e3,
+        wfq_full.host_busy().as_secs_f64() * 1e3,
     ));
     json.push_str("  \"policy_cells\": [\n");
     for (i, (name, report)) in policy_cells.iter().enumerate() {
@@ -1201,12 +1211,13 @@ pub fn smoke_fleet() {
             .collect();
         let comma = if i + 1 < policy_cells.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{\"cell\": \"{name}\", \"policy\": \"{}\", \"secret_bits\": {}, \"weighted_jain\": {:.4}, \"fairness_service\": {:.4}, \"aggregate_output_bps\": {:.1}, \"modeled_output_bps\": {:.1}, \"placements\": [{}]}}{comma}\n",
+            "    {{\"cell\": \"{name}\", \"policy\": \"{}\", \"secret_bits\": {}, \"weighted_jain\": {:.4}, \"fairness_service\": {:.4}, \"aggregate_output_bps\": {:.1}, \"host_stage_bps\": {:.1}, \"modeled_stage_bps\": {:.1}, \"placements\": [{}]}}{comma}\n",
             report.policy.label(),
             report.total_secret_bits(),
             report.fairness_weighted(),
             report.fairness_service(),
             report.aggregate_output_bps(),
+            host_stage_bps(report),
             report.modeled_output_bps(),
             placements.join(", "),
         ));

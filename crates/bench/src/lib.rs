@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness and Criterion benches.
 //!
 //! The `harness` binary (`cargo run --release -p qkd-bench --bin harness -- all`)
-//! regenerates every table and figure of the reconstructed evaluation (see
-//! `DESIGN.md` §3); the Criterion benches under `benches/` provide
-//! statistically robust timings for the individual kernels.
+//! regenerates every table and figure of the reconstructed evaluation; the
+//! Criterion benches under `benches/` provide statistically robust timings
+//! for the individual kernels.
 
 #![warn(missing_docs)]
 

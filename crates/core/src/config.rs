@@ -19,31 +19,6 @@ pub enum ReconciliationMethod {
     Cascade,
 }
 
-/// Which execution backend runs the heavy kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ExecutionBackend {
-    /// Single-threaded host CPU.
-    CpuSingle,
-    /// Multi-threaded host CPU with the given worker count.
-    CpuMulti(usize),
-    /// Simulated GPU (functional results on CPU, GPU latency model).
-    SimGpu,
-    /// Simulated FPGA.
-    SimFpga,
-}
-
-impl ExecutionBackend {
-    /// Short label for reports.
-    pub fn label(self) -> String {
-        match self {
-            ExecutionBackend::CpuSingle => "cpu-1".to_string(),
-            ExecutionBackend::CpuMulti(n) => format!("cpu-{n}"),
-            ExecutionBackend::SimGpu => "sim-gpu".to_string(),
-            ExecutionBackend::SimFpga => "sim-fpga".to_string(),
-        }
-    }
-}
-
 /// Options for the pipelined batch path
 /// ([`crate::PostProcessor::process_detections_pipelined`]).
 ///
@@ -154,15 +129,6 @@ pub struct PostProcessingConfig {
     pub toeplitz_strategy: ToeplitzStrategy,
     /// Classical channel model.
     pub channel: ChannelModel,
-    /// Execution backend for reconciliation and privacy amplification.
-    pub backend: ExecutionBackend,
-    /// Overrides `backend` for the LDPC decode (reconciliation) stage only.
-    /// Fleet placement uses this to offload just the decode — the paper's
-    /// "LDPC on the accelerator, everything else on the host" split —
-    /// without touching the other stages' modeled times. `None` means the
-    /// decode follows `backend`. Placement never changes key bits: backends
-    /// alter only modeled stage times.
-    pub decode_backend: Option<ExecutionBackend>,
     /// Bits of pre-shared authentication key available at session start.
     pub auth_pool_bits: usize,
     /// Skip QBER estimation sampling and trust the provided estimate
@@ -183,8 +149,6 @@ impl PostProcessingConfig {
             finite_key: FiniteKeyParams::default(),
             toeplitz_strategy: ToeplitzStrategy::Clmul,
             channel: ChannelModel::metro(),
-            backend: ExecutionBackend::CpuSingle,
-            decode_backend: None,
             auth_pool_bits: 1 << 20,
             trust_external_qber: false,
         }
@@ -193,19 +157,6 @@ impl PostProcessingConfig {
     /// Switches the reconciliation method, keeping everything else.
     pub fn with_reconciliation(mut self, method: ReconciliationMethod) -> Self {
         self.reconciliation = method;
-        self
-    }
-
-    /// Switches the execution backend.
-    pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Overrides the backend of the LDPC decode stage only (`None` restores
-    /// following the whole-engine `backend`).
-    pub fn with_decode_backend(mut self, backend: Option<ExecutionBackend>) -> Self {
-        self.decode_backend = backend;
         self
     }
 
@@ -255,7 +206,6 @@ mod tests {
             .unwrap();
         PostProcessingConfig::for_block_size(65_536)
             .with_reconciliation(ReconciliationMethod::Cascade)
-            .with_backend(ExecutionBackend::SimGpu)
             .validate()
             .unwrap();
     }
@@ -293,13 +243,5 @@ mod tests {
             .with_shards(0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn backend_labels() {
-        assert_eq!(ExecutionBackend::CpuSingle.label(), "cpu-1");
-        assert_eq!(ExecutionBackend::CpuMulti(8).label(), "cpu-8");
-        assert_eq!(ExecutionBackend::SimGpu.label(), "sim-gpu");
-        assert_eq!(ExecutionBackend::SimFpga.label(), "sim-fpga");
     }
 }

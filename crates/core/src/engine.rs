@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use qkd_auth::{AuthConfig, Authenticator, KeyPool};
 use qkd_cascade::CascadeReconciler;
-use qkd_hetero::{CostModel, KernelKind, Pipeline, ThroughputReport};
+use qkd_hetero::{Pipeline, ThroughputReport};
 use qkd_ldpc::{LdpcReconciler, ReconcilerScratch};
 use qkd_privacy::PrivacyAmplifier;
 use qkd_sifting::{estimate_qber, sift, SiftingConfig};
@@ -31,9 +31,7 @@ use qkd_types::rng::derive_block_rng;
 use qkd_types::{BitVec, BlockId, DetectionEvent, QkdError, Result, SecretKey};
 
 use crate::channel::ChannelUsage;
-use crate::config::{
-    ExecutionBackend, PipelineOptions, PostProcessingConfig, ReconciliationMethod,
-};
+use crate::config::{PipelineOptions, PostProcessingConfig, ReconciliationMethod};
 use crate::metrics::SessionSummary;
 use crate::verification::verify_keys;
 
@@ -94,7 +92,7 @@ pub struct BlockResult {
     pub verification_leak: usize,
     /// Errors corrected.
     pub corrected_errors: usize,
-    /// Per-stage modeled processing times.
+    /// Per-stage processing times, measured on the host.
     pub stage_times: Vec<(StageLabel, Duration)>,
     /// Classical-channel usage of this block.
     pub channel_usage: ChannelUsage,
@@ -103,7 +101,7 @@ pub struct BlockResult {
 }
 
 impl BlockResult {
-    /// Total modeled processing time across stages.
+    /// Total host-measured processing time across stages.
     pub fn total_time(&self) -> Duration {
         self.stage_times.iter().map(|(_, d)| *d).sum()
     }
@@ -376,10 +374,8 @@ impl StageContext {
                 item.channel_usage.add(usage);
                 let rec_host = rec_start.elapsed();
                 engine_obs().stage_reconciliation.observe_duration(rec_host);
-                item.stage_times.push((
-                    StageLabel::Reconciliation,
-                    self.modeled_time(KernelKind::LdpcDecode, item.alice.len(), rec_host),
-                ));
+                item.stage_times
+                    .push((StageLabel::Reconciliation, rec_host));
             }
             Err(e) => item.fail(e, true),
         }
@@ -455,10 +451,8 @@ impl StageContext {
                 let obs = engine_obs();
                 obs.stage_amplification.observe_duration(pa_host);
                 obs.phase_error.set(item.phase_error);
-                item.stage_times.push((
-                    StageLabel::PrivacyAmplification,
-                    self.modeled_time(KernelKind::ToeplitzHash, item.alice.len(), pa_host),
-                ));
+                item.stage_times
+                    .push((StageLabel::PrivacyAmplification, pa_host));
             }
             Err(e) => item.fail(e, true),
         }
@@ -501,27 +495,6 @@ impl StageContext {
         item.delta.auth_bits_consumed += auth_bits as u64;
         item.delta.processing_time += item.stage_times.iter().map(|(_, d)| *d).sum::<Duration>();
         item.delta.channel_usage.add(item.channel_usage);
-    }
-
-    /// Converts a measured host time into the modeled time for the configured
-    /// backend. CPU backends report host time; simulated accelerators report
-    /// the analytic cost model's prediction for the same workload. The LDPC
-    /// decode honours `decode_backend` when set (decode-only placement).
-    fn modeled_time(&self, kind: KernelKind, block_bits: usize, host: Duration) -> Duration {
-        let work_units = qkd_hetero::planned_work_units(kind, block_bits);
-        let backend = match kind {
-            KernelKind::LdpcDecode => self.config.decode_backend.unwrap_or(self.config.backend),
-            _ => self.config.backend,
-        };
-        match backend {
-            ExecutionBackend::CpuSingle | ExecutionBackend::CpuMulti(_) => host,
-            ExecutionBackend::SimGpu => {
-                CostModel::sim_gpu().predict_raw(kind, block_bits, block_bits, work_units)
-            }
-            ExecutionBackend::SimFpga => {
-                CostModel::sim_fpga().predict_raw(kind, block_bits, block_bits, work_units)
-            }
-        }
     }
 }
 
@@ -614,7 +587,6 @@ impl std::fmt::Debug for PostProcessor {
         f.debug_struct("PostProcessor")
             .field("block_size", &self.config.block_size)
             .field("reconciliation", &self.config.reconciliation)
-            .field("backend", &self.config.backend)
             .field(
                 "blocks_processed",
                 &(self.summary.blocks_ok + self.summary.blocks_failed),
@@ -655,22 +627,6 @@ impl PostProcessor {
     /// The configuration in use.
     pub fn config(&self) -> &PostProcessingConfig {
         &self.config
-    }
-
-    /// Re-points the whole engine at another execution backend, effective
-    /// from the next batch. Backends alter only modeled stage times — key
-    /// bits derive purely from the session seed and block ids — so fleet
-    /// placement can move a live link between backends without perturbing
-    /// its output.
-    pub fn set_backend(&mut self, backend: ExecutionBackend) {
-        Arc::make_mut(&mut self.config).backend = backend;
-    }
-
-    /// Overrides the backend of the LDPC decode stage only (`None` restores
-    /// following the whole-engine backend), effective from the next batch.
-    /// Same bit-exactness guarantee as [`PostProcessor::set_backend`].
-    pub fn set_decode_backend(&mut self, backend: Option<ExecutionBackend>) {
-        Arc::make_mut(&mut self.config).decode_backend = backend;
     }
 
     /// The running session summary.
@@ -1122,32 +1078,6 @@ mod tests {
             assert!(r.qber < 0.05, "metro QBER should be small, got {}", r.qber);
         }
         assert_eq!(proc.summary().blocks_ok, results.len());
-    }
-
-    #[test]
-    fn accelerator_backends_report_model_driven_stage_times() {
-        let mut cpu = engine(8192);
-        let mut gpu = PostProcessor::new(
-            PostProcessingConfig::for_block_size(8192).with_backend(ExecutionBackend::SimGpu),
-            11,
-        )
-        .unwrap();
-        let mut src = CorrelatedKeySource::from_preset(WorkloadPreset::Metro, 8192, 7).unwrap();
-        let blk = src.next_block();
-        let r_cpu = cpu.process_sifted_block(&blk.alice, &blk.bob).unwrap();
-        let r_gpu = gpu.process_sifted_block(&blk.alice, &blk.bob).unwrap();
-        // Functional output identical.
-        assert_eq!(r_cpu.secret_key.len(), r_gpu.secret_key.len());
-        // The GPU-modeled reconciliation time must be well below the measured
-        // CPU time for an 8 kbit block in a debug/release-agnostic way: the
-        // model predicts microseconds, the CPU decode takes at least tens of
-        // microseconds.
-        let cpu_rec = r_cpu.stage_time(StageLabel::Reconciliation).unwrap();
-        let gpu_rec = r_gpu.stage_time(StageLabel::Reconciliation).unwrap();
-        assert!(
-            gpu_rec < cpu_rec,
-            "gpu modeled {gpu_rec:?} vs cpu measured {cpu_rec:?}"
-        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! every disclosed bit, every classical-channel round trip and every consumed
 //! authentication key bit.
 //!
-//! * [`config`] — engine configuration (block size, reconciliation backend,
-//!   security parameters, execution backend);
+//! * [`config`] — engine configuration (block size, reconciliation method,
+//!   security parameters);
 //! * [`channel`] — classical-channel model (RTT, bandwidth, traffic counters)
 //!   used to convert protocol interactivity into time;
 //! * [`verification`] — post-reconciliation error verification;
@@ -41,7 +41,7 @@ pub mod metrics;
 pub mod verification;
 
 pub use channel::{ChannelModel, ChannelUsage};
-pub use config::{ExecutionBackend, PipelineOptions, PostProcessingConfig, ReconciliationMethod};
+pub use config::{PipelineOptions, PostProcessingConfig, ReconciliationMethod};
 pub use engine::{BlockResult, PipelinedBatch, PostProcessor};
 pub use metrics::{SessionAccounting, SessionSummary};
 pub use verification::{verify_keys, VerificationConfig, VerificationOutcome};

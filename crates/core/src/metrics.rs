@@ -27,7 +27,7 @@ pub struct SessionSummary {
     /// Sifted bits permanently dropped without entering a block (e.g. a
     /// remainder explicitly discarded at session end).
     pub discarded_bits: u64,
-    /// Total modeled processing time (sum over stages and blocks).
+    /// Total host-measured processing time (sum over stages and blocks).
     pub processing_time: Duration,
     /// Total classical-channel usage.
     pub channel_usage: ChannelUsage,

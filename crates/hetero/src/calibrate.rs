@@ -37,9 +37,9 @@ const STAGE_KERNELS: &[(&str, KernelKind)] = &[
 
 /// The kernel kind that dominates a named pipeline stage, or `None` for
 /// stages with no kernel analogue (estimation, verification). Callers that
-/// observe stages selectively — e.g. a fleet feeding the calibrator only the
-/// stages that actually ran on the host — use this to map stage labels onto
-/// kinds the same way [`CostCalibrator::observe_report`] does.
+/// observe block by block — e.g. a fleet folding each distilled block's
+/// measured stage times into the calibrator — use this to map stage labels
+/// onto kinds the same way [`CostCalibrator::observe_report`] does.
 #[must_use]
 pub fn kernel_for_stage(stage: &str) -> Option<KernelKind> {
     STAGE_KERNELS

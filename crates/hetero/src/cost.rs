@@ -105,8 +105,8 @@ impl CostModel {
         }
     }
 
-    /// Cost model of one CPU core running the reference kernels (used only by
-    /// the scheduler's planning step; the [`crate::CpuDevice`] reports
+    /// Cost model of one CPU core running the reference kernels (the
+    /// baseline calibration fits against; the [`crate::CpuDevice`] reports
     /// measured time when it actually executes).
     pub fn cpu_core() -> Self {
         let mut kernel_throughput = HashMap::new();
@@ -141,8 +141,8 @@ impl CostModel {
         )
     }
 
-    /// Predicted latency from raw workload descriptors (used by the scheduler
-    /// which plans before tasks are materialised).
+    /// Predicted latency from raw workload descriptors (used by placement,
+    /// which prices a stage without materialising its task).
     pub fn predict_raw(
         &self,
         kind: KernelKind,
@@ -173,9 +173,8 @@ impl CostModel {
 
 /// Abstract work units of one planned kernel invocation over a block of
 /// `block_bits` bits — the planning-time analogue of
-/// [`crate::KernelTask::work_units`], shared by the scheduler's task-graph
-/// builder, the engine's modeled stage times and cost calibration so all
-/// three price a stage identically.
+/// [`crate::KernelTask::work_units`], which cost calibration and placement
+/// price a stage by.
 pub fn planned_work_units(kind: KernelKind, block_bits: usize) -> f64 {
     let bits = block_bits as f64;
     match kind {

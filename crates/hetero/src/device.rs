@@ -29,6 +29,15 @@ impl DeviceKind {
             DeviceKind::SimFpga => "sim-fpga",
         }
     }
+
+    /// The static cost profile of this device class.
+    pub fn cost_model(self) -> CostModel {
+        match self {
+            DeviceKind::Cpu => CostModel::cpu_core(),
+            DeviceKind::SimGpu => CostModel::sim_gpu(),
+            DeviceKind::SimFpga => CostModel::sim_fpga(),
+        }
+    }
 }
 
 /// An execution backend for post-processing kernels.

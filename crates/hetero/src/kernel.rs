@@ -41,14 +41,6 @@ impl KernelKind {
             KernelKind::PolyMac => "poly-mac",
         }
     }
-
-    /// Parses a kernel label back into its kind (the inverse of
-    /// [`KernelKind::name`]). Returns `None` for unknown labels, which lets
-    /// schedulers reject typoed static mappings at construction instead of
-    /// silently ignoring them.
-    pub fn from_name(name: &str) -> Option<KernelKind> {
-        KernelKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
 }
 
 /// A concrete kernel invocation: the kind plus its input data.
@@ -222,15 +214,6 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             KernelKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), KernelKind::ALL.len());
-    }
-
-    #[test]
-    fn kernel_names_round_trip_through_from_name() {
-        for kind in KernelKind::ALL {
-            assert_eq!(KernelKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(KernelKind::from_name("ldpc_decode"), None);
-        assert_eq!(KernelKind::from_name(""), None);
     }
 
     #[test]

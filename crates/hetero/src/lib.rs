@@ -7,9 +7,9 @@
 //! device where it runs best (multicore CPU, GPU, FPGA) and pipelines blocks
 //! across devices.
 //!
-//! No physical accelerator is available in this reproduction (see
-//! `DESIGN.md`), so the framework pairs *bit-exact functional execution* on the
-//! CPU with *analytic cost models* of the accelerators:
+//! No physical accelerator is available in this reproduction, so the
+//! framework pairs *bit-exact functional execution* on the CPU with
+//! *analytic cost models* of the accelerators:
 //!
 //! * [`CpuDevice`] — executes kernels with the substrate crates and reports
 //!   measured wall-clock time (optionally divided across worker threads for
@@ -22,10 +22,15 @@
 //!   fixed pipeline fill cost, reproducing line-rate behaviour independent of
 //!   block size.
 //!
-//! On top of the devices sit the [`scheduler`] (static, greedy
-//! earliest-finish, and HEFT-style list scheduling of per-block stage tasks)
-//! and the [`pipeline`] executor (bounded-channel stage pipeline with
-//! back-pressure and per-stage utilisation metrics).
+//! On top of the devices sit [`placement`] — the single owner of "where
+//! would this kernel be cheapest, and what would it cost there": the
+//! online-[`calibrate`]d cost models decide a link's CPU / decode-only /
+//! whole-link split and convert host-measured stage time into modeled time
+//! with the same prediction — and the [`pipeline`] executor (bounded-channel
+//! stage pipeline with back-pressure and per-stage utilisation metrics).
+//! Measured and modeled time stay separate columns
+//! ([`StageMetrics::host_time`] / [`StageMetrics::modeled_time`]); nothing
+//! here changes what the engine executes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,13 +40,13 @@ pub mod cost;
 pub mod device;
 pub mod kernel;
 pub mod pipeline;
+pub mod placement;
 pub mod profiler;
-pub mod scheduler;
 
 pub use calibrate::{kernel_for_stage, CostCalibrator};
 pub use cost::{planned_work_units, CostModel};
 pub use device::{CpuDevice, Device, DeviceKind, SimFpga, SimGpu};
 pub use kernel::{KernelKind, KernelResult, KernelTask};
 pub use pipeline::{Pipeline, PipelineReport, Stage};
+pub use placement::{decide_placement, modeled_time, LinkPlacement};
 pub use profiler::{StageMetrics, ThroughputReport};
-pub use scheduler::{SchedulePolicy, Scheduler, SimulatedSchedule, TaskSpec};

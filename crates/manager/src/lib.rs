@@ -11,11 +11,11 @@
 //!   [`qkd_core::PostProcessor`] fed by its own
 //!   [`qkd_simulator::CorrelatedKeySource`]), drives them over a shared,
 //!   bounded worker pool under a [`SchedPolicy`] (weighted fair queueing by
-//!   default, FIFO round-robin as baseline), places each link's modeled
-//!   kernels on the backend the online-calibrated cost models predict
-//!   cheapest ([`PlacementPolicy::CostModel`]), autoscales opted-in hot
-//!   links onto pipeline shards, and applies per-link backlog admission
-//!   control to bursty epoch arrivals;
+//!   default, FIFO round-robin as baseline), accounts each batch's modeled
+//!   time on the backend the online-calibrated cost models predict cheapest
+//!   ([`qkd_hetero::decide_placement`]) next to the host time the engine
+//!   measured, autoscales opted-in hot links onto pipeline shards, and
+//!   applies per-link backlog admission control to bursty epoch arrivals;
 //! * [`KeyStore`] — ETSI GS QKD 014-shaped delivery: `status(link)` and
 //!   `get_key(link, n_bits)` with [`KeyId`]-tagged keys, strict
 //!   deliver-at-most-once draining and a ledger reconciled bit-for-bit
@@ -60,6 +60,6 @@ pub mod store;
 
 pub use manager::LinkManager;
 pub use report::{jain_index, FleetLedger, FleetReport, LinkLedger, LinkReport};
-pub use sched::{decide_placement, LinkPlacement, PlacementPolicy, SchedPolicy};
+pub use sched::SchedPolicy;
 pub use spec::{Admission, AdmissionPolicy, FleetConfig, LinkSpec};
 pub use store::{DeliveredKey, KeyId, KeyStatus, KeyStore, RecoveredBudget};

@@ -11,23 +11,24 @@
 //! under backlog, starvation-free by construction), or plain FIFO
 //! round-robin as the baseline.
 //!
-//! On top of queueing the manager runs **cost-model-driven placement**
-//! ([`crate::sched::PlacementPolicy::CostModel`]): each link's measured
+//! On top of queueing the manager keeps **cost-model-driven placement** as
+//! accounting over measured time: every distilled block's host-measured
 //! stage times feed a shared [`CostCalibrator`], and once the fit is warm
-//! every batch is dispatched on the backend the calibrated models predict
+//! each batch is labelled with the split [`decide_placement`] predicts
 //! cheapest — whole-link on a simulated accelerator, decode-only offload, or
-//! host CPU. Hot links with `max_shards > 1` additionally autoscale onto the
-//! pipelined batch path when the pool has spare workers and their backlog is
-//! deep.
+//! host CPU. The engine runs the same code on the host either way; the
+//! decision only sets what [`StageMetrics::modeled_time`] records next to
+//! the measured [`StageMetrics::host_time`]. Hot links with `max_shards > 1`
+//! additionally autoscale onto the pipelined batch path when the pool has
+//! spare workers and their backlog is deep.
 //!
 //! **Determinism invariant.** A link's batches are processed in submission
 //! order by exactly one worker at a time, and every engine draws only from
 //! per-block RNG streams derived from the link seed — so a link distilled
 //! inside a fleet produces *bit-identical* keys to the same spec replayed on
 //! a solo [`PostProcessor`] ([`crate::LinkSpec::solo_processor`]), no matter
-//! how many workers or neighbour links the fleet has, which scheduling
-//! policy ordered the batches, or where placement put the kernels (backends
-//! change only *modeled* stage times, never bits).
+//! how many workers or neighbour links the fleet has or which scheduling
+//! policy ordered the batches.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -36,13 +37,15 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use qkd_core::{BlockResult, PipelineOptions, PostProcessor, ReconcilerScratch, SessionSummary};
-use qkd_hetero::{CostCalibrator, KernelKind, StageMetrics, ThroughputReport};
+use qkd_hetero::{
+    decide_placement, CostCalibrator, KernelKind, LinkPlacement, StageMetrics, ThroughputReport,
+};
 use qkd_simulator::{detection_events, CorrelatedKeySource};
 use qkd_types::frame::StageLabel;
 use qkd_types::{BitVec, DetectionEvent, QkdError, Result};
 
 use crate::report::{FleetLedger, FleetReport, LinkLedger, LinkReport};
-use crate::sched::{decide_placement, Dispatch, LinkPlacement, PlacementPolicy, ReadyQueue};
+use crate::sched::{Dispatch, ReadyQueue};
 use crate::spec::{Admission, AdmissionPolicy, FleetConfig, LinkSpec};
 use crate::store::{KeyStore, RecoveredBudget};
 
@@ -126,7 +129,7 @@ struct LinkCell {
     batches_abandoned: u64,
     batches_dropped: u64,
     failed: Option<QkdError>,
-    /// Where the scheduler last placed this link's modeled kernels.
+    /// Where the scheduler last placed this link's offloadable kernels.
     placement: LinkPlacement,
     /// Pipeline shards the last dispatch ran with (1 = sequential path).
     shards: usize,
@@ -196,19 +199,35 @@ struct LinkRuntime {
     cell: Mutex<LinkCell>,
 }
 
-/// Folds one distilled block into a link's stage-level throughput report.
-/// Every stage handles the full block on the way in; privacy amplification
-/// compresses it to the secret length, which authentication then carries out.
-fn record_block(report: &mut ThroughputReport, result: &BlockResult, block_bits: usize) {
+/// Folds one distilled block into a link's stage-level throughput report
+/// and into the shared calibrator. Every stage handles the full block on the
+/// way in; privacy amplification compresses it to the secret length, which
+/// authentication then carries out. `host_time` is what the engine measured;
+/// `modeled_time` is what the stage would have cost under `placement`,
+/// priced before this block's own measurement moves the fit.
+fn record_block(
+    report: &mut ThroughputReport,
+    calibrator: &mut CostCalibrator,
+    placement: LinkPlacement,
+    result: &BlockResult,
+    block_bits: usize,
+) {
     let secret = result.secret_key.bits.len();
-    for (label, time) in &result.stage_times {
+    for (label, host) in &result.stage_times {
         let (bits_in, bits_out) = match label {
             StageLabel::PrivacyAmplification => (block_bits, secret),
             StageLabel::Authentication => (secret, secret),
             _ => (block_bits, block_bits),
         };
+        let kind = qkd_hetero::kernel_for_stage(label.name());
+        let modeled = kind.map_or(*host, |kind| {
+            qkd_hetero::modeled_time(calibrator, placement, kind, block_bits, *host)
+        });
         let mut metrics = StageMetrics::default();
-        metrics.record(*time, *time, bits_in, bits_out);
+        metrics.record(modeled, *host, bits_in, bits_out);
+        if let Some(kind) = kind {
+            calibrator.observe(kind, &metrics);
+        }
         report.record_stage(label.name(), metrics);
     }
     report.items += 1;
@@ -231,7 +250,7 @@ pub struct LinkManager {
     fleet: String,
     /// Online fit of the static device cost models against this fleet's own
     /// measured stage times; shared by every worker and consulted per batch
-    /// for placement under [`PlacementPolicy::CostModel`].
+    /// for placement.
     calibrator: Mutex<CostCalibrator>,
     sched_obs: SchedObs,
 }
@@ -531,60 +550,16 @@ impl LinkManager {
         Ok(self.report())
     }
 
-    /// Where to place a link's modeled kernels for its next batch.
-    ///
-    /// Under [`PlacementPolicy::CostModel`] the decision defers to the
-    /// calibrated models — but only once the calibrator has seen enough real
-    /// host decodes to fit its scale. Until then every link runs on the host
-    /// (warm-up), which is what produces those samples: once a link is
-    /// offloaded its decode times are *modeled*, and feeding them back would
-    /// calibrate the model against itself.
+    /// Where a link's offloadable kernels would be cheapest for its next
+    /// batch. The decision defers to the calibrated models only once the
+    /// calibrator has seen enough host decodes to fit its scale; until then
+    /// every batch is accounted on the host (warm-up).
     fn placement_for(&self, block_bits: usize) -> LinkPlacement {
-        match self.config.placement {
-            PlacementPolicy::Cpu => LinkPlacement::Cpu,
-            PlacementPolicy::CostModel => {
-                let cal = self.calibrator.lock();
-                if cal.samples(KernelKind::LdpcDecode) < CostCalibrator::MIN_SAMPLES {
-                    LinkPlacement::Cpu
-                } else {
-                    decide_placement(&cal, block_bits)
-                }
-            }
-        }
-    }
-
-    /// Feeds one block's host-measured stage times into the shared
-    /// calibrator. Stages the batch's placement moved onto a simulated
-    /// backend report *modeled* times and are skipped — the fit must only
-    /// ever see real host measurements.
-    fn observe_host_stages(
-        &self,
-        cal: &mut CostCalibrator,
-        placement: LinkPlacement,
-        result: &BlockResult,
-        block_bits: usize,
-    ) {
-        let secret = result.secret_key.bits.len();
-        for (label, time) in &result.stage_times {
-            let Some(kind) = qkd_hetero::kernel_for_stage(label.name()) else {
-                continue;
-            };
-            let host_measured = match kind {
-                KernelKind::LdpcDecode => matches!(placement, LinkPlacement::Cpu),
-                KernelKind::ToeplitzHash => !matches!(placement, LinkPlacement::Whole(_)),
-                _ => true,
-            };
-            if !host_measured {
-                continue;
-            }
-            let (bits_in, bits_out) = match label {
-                StageLabel::PrivacyAmplification => (block_bits, secret),
-                StageLabel::Authentication => (secret, secret),
-                _ => (block_bits, block_bits),
-            };
-            let mut metrics = StageMetrics::default();
-            metrics.record(*time, *time, bits_in, bits_out);
-            cal.observe(kind, &metrics);
+        let cal = self.calibrator.lock();
+        if cal.samples(KernelKind::LdpcDecode) < CostCalibrator::MIN_SAMPLES {
+            LinkPlacement::Cpu
+        } else {
+            decide_placement(&cal, block_bits)
         }
     }
 
@@ -604,14 +579,10 @@ impl LinkManager {
                     .pop_front()
                     .expect("a ready link has a queued batch");
 
-                // Backend placement: decide per batch, apply before the
-                // engine frames it (setters take effect on the next batch's
-                // stage context, which is this one).
+                // Placement: decided per batch; it prices this batch's
+                // modeled time below and never reaches the engine.
                 let placement = self.placement_for(spec.block_bits);
                 if placement != cell.placement {
-                    cell.processor.set_backend(placement.backend());
-                    cell.processor
-                        .set_decode_backend(placement.decode_backend());
                     cell.placement = placement;
                     self.sched_obs.placement_changes.inc();
                 }
@@ -648,21 +619,27 @@ impl LinkManager {
                 // accumulate). Both quarantine the link, not the fleet.
                 let failure = match outcome {
                     Ok(results) => {
-                        let block_bits = spec.block_bits;
                         let mut failure = None;
+                        let mut deposited = 0usize;
                         for result in &results {
                             match self.store.deposit(link, &result.secret_key) {
-                                Ok(()) => record_block(&mut cell.throughput, result, block_bits),
+                                Ok(()) => deposited += 1,
                                 Err(e) => {
                                     failure = Some(e);
                                     break;
                                 }
                             }
                         }
-                        if !results.is_empty() {
+                        if deposited > 0 {
                             let mut cal = self.calibrator.lock();
-                            for result in &results {
-                                self.observe_host_stages(&mut cal, placement, result, block_bits);
+                            for result in results.iter().take(deposited) {
+                                record_block(
+                                    &mut cell.throughput,
+                                    &mut cal,
+                                    placement,
+                                    result,
+                                    spec.block_bits,
+                                );
                             }
                         }
                         failure
@@ -1063,7 +1040,6 @@ mod tests {
                     .with_workers(1)
                     .with_max_backlog(16)
                     .with_policy(policy)
-                    .with_placement(PlacementPolicy::Cpu)
                     .with_batch_budget(Some(6)),
             )
             .unwrap();
@@ -1098,33 +1074,75 @@ mod tests {
             FleetConfig::default()
                 .with_workers(1)
                 .with_max_backlog(16)
-                .with_policy(crate::sched::SchedPolicy::Wfq)
-                .with_placement(PlacementPolicy::CostModel),
+                .with_policy(crate::sched::SchedPolicy::Wfq),
         )
         .unwrap();
         let spec = LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 81);
         let link = mgr.add_link(spec.clone()).unwrap();
-        let epochs = 2 + CostCalibrator::MIN_SAMPLES as usize;
-        for _ in 0..epochs {
+        let warm = 2 + CostCalibrator::MIN_SAMPLES as usize;
+        for _ in 0..warm {
             assert!(mgr.submit_epoch(link, 1).unwrap().accepted());
         }
-        let report = mgr.run().unwrap();
-        // Warm-up decodes ran on the host; once the calibrator has samples
-        // the cost model offloads the link. Which accelerator wins depends on
-        // the fitted host scales (a fast host decoder shrinks the decode term
-        // and can tip the whole-link sum either way), so assert the shape,
-        // not the device.
-        let placement = report.links[link].placement.as_str();
-        assert!(
-            placement.starts_with("whole:") || placement.starts_with("decode:"),
-            "expected an accelerator placement after warm-up, got {placement}"
+        let before = mgr.run().unwrap().links.swap_remove(link);
+        // Warm-up decodes are accounted on the host; once the calibrator has
+        // samples the cost model offloads the link.
+        assert_ne!(before.placement, "cpu");
+        assert!(before.modeled_busy() < before.host_busy());
+        // Offloaded blocks keep feeding the calibrator: the engine measured
+        // them on the host like any other.
+        assert_eq!(
+            mgr.calibrator.lock().samples(KernelKind::LdpcDecode),
+            warm as u64
         );
-        // Offloaded decodes report the accelerator's modeled time, so the
-        // link's modeled stage time undercuts its measured busy time.
-        assert!(report.links[link].modeled_busy() < report.links[link].busy);
+
+        // One more block, against a snapshot of the fit its decision reads.
+        // Which accelerator wins depends on the fitted host scales (a fast
+        // host decoder shrinks the decode term and can tip the whole-link
+        // sum either way), so take the device from the decision.
+        let fit = mgr.calibrator.lock().clone();
+        assert!(mgr.submit_epoch(link, 1).unwrap().accepted());
+        let after = mgr.run().unwrap().links.swap_remove(link);
+        let placement = decide_placement(&fit, spec.block_bits);
+        assert_eq!(after.placement, placement.label());
+        let (offloaded, device) = match placement {
+            LinkPlacement::Whole(d) => (vec!["reconciliation", "privacy-amplification"], d),
+            LinkPlacement::DecodeOnly(d) => (vec!["reconciliation"], d),
+            LinkPlacement::Cpu => panic!("expected an accelerator placement after warm-up"),
+        };
+        assert_eq!(
+            mgr.calibrator.lock().samples(KernelKind::LdpcDecode),
+            warm as u64 + 1
+        );
+        let mut host_total = Duration::ZERO;
+        for (stage, m) in &after.throughput.stages {
+            let was = before.throughput.stages[stage];
+            let host = m.host_time - was.host_time;
+            let modeled = m.modeled_time - was.modeled_time;
+            host_total += host;
+            if offloaded.contains(&stage.as_str()) {
+                // Decision and accounting use one number: the calibrated
+                // prediction for the decided device.
+                let kind = qkd_hetero::kernel_for_stage(stage).unwrap();
+                assert_eq!(
+                    modeled,
+                    fit.predict(&device.cost_model(), kind, spec.block_bits),
+                    "{stage}"
+                );
+                assert!(modeled < host, "{stage}: {modeled:?} vs {host:?}");
+            } else {
+                assert_eq!(modeled, host, "{stage}");
+            }
+        }
+        // The host column is exactly what the engine measured for the block.
+        assert_eq!(
+            host_total,
+            after.summary.processing_time - before.summary.processing_time
+        );
+        assert_eq!(after.host_busy(), after.summary.processing_time);
+
         // Placement never changes bits: the fleet still matches the solo
         // replay exactly.
-        let (solo, expected) = replay_solo(&spec, &vec![1; epochs]);
+        let (solo, expected) = replay_solo(&spec, &vec![1; warm + 1]);
         assert_eq!(
             mgr.store().get_key(link, expected.len()).unwrap().bits,
             expected
@@ -1143,13 +1161,8 @@ mod tests {
         // shard cap is computed under the queue lock, so this is
         // deterministic), and its keys still match the sequential solo
         // replay bit for bit.
-        let mut mgr = LinkManager::new(
-            FleetConfig::default()
-                .with_workers(2)
-                .with_max_backlog(16)
-                .with_placement(PlacementPolicy::Cpu),
-        )
-        .unwrap();
+        let mut mgr =
+            LinkManager::new(FleetConfig::default().with_workers(2).with_max_backlog(16)).unwrap();
         let spec = LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 91).with_max_shards(4);
         let link = mgr.add_link(spec.clone()).unwrap();
         for _ in 0..8 {
@@ -1199,27 +1212,23 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(5))]
             /// The fleet invariant quantified over the whole scheduling
-            /// space: for any queueing policy, placement policy, shard
-            /// opt-in and dispatch budget, every link's keys are
-            /// bit-identical to its solo replay and the store ledger
-            /// reconciles.
+            /// space: for any queueing policy, shard opt-in and dispatch
+            /// budget, every link's keys are bit-identical to its solo
+            /// replay and the store ledger reconciles.
             #[test]
             fn every_policy_mix_is_solo_equivalent_and_reconciles(
                 seed in 0u64..1_000_000,
                 policy_idx in 0usize..2,
-                placement_idx in 0usize..2,
                 sharded in 0usize..2,
                 budget_idx in 0usize..3,
             ) {
                 let policy = [SchedPolicy::Fifo, SchedPolicy::Wfq][policy_idx];
-                let placement = [PlacementPolicy::Cpu, PlacementPolicy::CostModel][placement_idx];
                 let budget = [None, Some(4), Some(7)][budget_idx];
                 let mut mgr = LinkManager::new(
                     FleetConfig::default()
                         .with_workers(2)
                         .with_max_backlog(16)
                         .with_policy(policy)
-                        .with_placement(placement)
                         .with_batch_budget(budget),
                 )
                 .unwrap();
@@ -1264,7 +1273,7 @@ mod tests {
                         let got = mgr.store().get_key(link, expected.len()).unwrap();
                         assert_eq!(
                             got.bits, expected,
-                            "{policy:?}/{placement:?}/shards={sharded}/budget={budget:?} diverged from solo"
+                            "{policy:?}/shards={sharded}/budget={budget:?} diverged from solo"
                         );
                     }
                     assert_eq!(

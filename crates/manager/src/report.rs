@@ -57,7 +57,7 @@ pub struct LinkReport {
     pub busy: Duration,
     /// WFQ scheduling weight from the spec.
     pub weight: f64,
-    /// Where the scheduler last placed this link's modeled kernels
+    /// Where the scheduler last placed this link's offloadable kernels
     /// (`cpu`, `whole:sim-gpu`, `decode:sim-fpga`, …).
     pub placement: String,
     /// Most pipeline shards any dispatch of this link ran with (1 = the
@@ -84,14 +84,19 @@ impl LinkReport {
     }
 
     /// Total *modeled* stage time of the link: host-measured for stages on
-    /// the CPU, the analytic cost model's prediction for stages placed on a
-    /// simulated accelerator. The quantity backend placement optimises.
+    /// the CPU, the calibrated cost model's prediction for stages placed on
+    /// a simulated accelerator. The quantity backend placement optimises.
     pub fn modeled_busy(&self) -> Duration {
         self.throughput
             .stages
             .values()
             .map(|m| m.modeled_time)
             .sum()
+    }
+
+    /// Total host-*measured* stage time of the link, under any placement.
+    pub fn host_busy(&self) -> Duration {
+        self.throughput.stages.values().map(|m| m.host_time).sum()
     }
 }
 
@@ -173,6 +178,12 @@ impl FleetReport {
         self.links.iter().map(LinkReport::modeled_busy).sum()
     }
 
+    /// Total host-measured stage time across the fleet (see
+    /// [`LinkReport::host_busy`]).
+    pub fn host_busy(&self) -> Duration {
+        self.links.iter().map(LinkReport::host_busy).sum()
+    }
+
     /// Modeled aggregate output rate: total secret bits over the fleet's
     /// modeled stage time divided across the pool's workers. Unlike
     /// [`FleetReport::aggregate_output_bps`] (host wall clock) this reflects
@@ -221,7 +232,7 @@ impl FleetReport {
             ));
         }
         out.push_str(&format!(
-            "fleet: {} links, {} workers, {} policy, {} secret bits in {:.2} ms ({:.1} kbit/s aggregate, {:.1} modeled), fairness service {:.3} / blocks {:.3} / weighted {:.3}\n",
+            "fleet: {} links, {} workers, {} policy, {} secret bits in {:.2} ms, measured {:.1} kbit/s (wall clock), modeled {:.1} kbit/s (placed stage time / workers), fairness service {:.3} / blocks {:.3} / weighted {:.3}\n",
             self.links.len(),
             self.workers,
             self.policy.label(),

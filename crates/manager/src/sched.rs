@@ -1,5 +1,5 @@
 //! Fleet scheduling: the ready queue (FIFO round-robin or weighted fair
-//! queueing) and cost-model-driven backend placement.
+//! queueing).
 //!
 //! **Queueing.** [`ReadyQueue`] replaces the old flat FIFO drain. Under
 //! [`SchedPolicy::Wfq`] every link carries a *virtual time*: measured worker
@@ -11,14 +11,9 @@
 //! and can never starve. FIFO round-robin (the previous behaviour) remains
 //! available as the baseline policy.
 //!
-//! **Placement.** [`decide_placement`] asks the online-calibrated cost
-//! models ([`qkd_hetero::CostCalibrator`]) where a link's modeled kernels
-//! are cheapest: whole-link on a simulated accelerator, the LDPC decode
-//! stage alone offloaded (the paper's "decoder on the device, everything
-//! else on the host" split), or everything on the host CPU. Placement only
-//! changes *modeled* stage times — every backend computes bit-identical
-//! results — so it composes with the fleet determinism invariant by
-//! construction.
+//! Where a link's kernels would be cheapest is not decided here: the worker
+//! asks [`qkd_hetero::decide_placement`] per batch and the answer only
+//! labels the batch and prices its modeled time (see [`crate::manager`]).
 //!
 //! A [`ReadyQueue`] lives for one [`crate::LinkManager::run`] drain; virtual
 //! times start even at every drain, which is exactly the long-run fair
@@ -28,9 +23,6 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
-
-use qkd_core::ExecutionBackend;
-use qkd_hetero::{CostCalibrator, CostModel, KernelKind};
 
 /// How the ready queue orders competing links.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,109 +45,6 @@ impl SchedPolicy {
             SchedPolicy::Wfq => "wfq",
         }
     }
-}
-
-/// How links are placed onto execution backends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// Everything on the host CPU (the baseline; no modeled offload).
-    Cpu,
-    /// Ask the calibrated cost models per batch and place the link (or just
-    /// its decode stage) on the backend predicted cheapest.
-    #[default]
-    CostModel,
-}
-
-impl PlacementPolicy {
-    /// Short label for reports and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlacementPolicy::Cpu => "cpu",
-            PlacementPolicy::CostModel => "cost-model",
-        }
-    }
-}
-
-/// Where the scheduler put a link's modeled kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LinkPlacement {
-    /// All stages on the host CPU.
-    Cpu,
-    /// Whole link (decode and privacy amplification) on the given simulated
-    /// accelerator.
-    Whole(ExecutionBackend),
-    /// Only the LDPC decode stage on the given accelerator; everything else
-    /// stays on the host.
-    DecodeOnly(ExecutionBackend),
-}
-
-impl LinkPlacement {
-    /// Short label for reports and metrics (`cpu`, `whole:sim-gpu`,
-    /// `decode:sim-fpga`, …).
-    pub fn label(&self) -> String {
-        match self {
-            LinkPlacement::Cpu => "cpu".to_string(),
-            LinkPlacement::Whole(b) => format!("whole:{}", b.label()),
-            LinkPlacement::DecodeOnly(b) => format!("decode:{}", b.label()),
-        }
-    }
-
-    /// The whole-engine backend this placement configures.
-    pub fn backend(&self) -> ExecutionBackend {
-        match self {
-            LinkPlacement::Whole(b) => *b,
-            LinkPlacement::Cpu | LinkPlacement::DecodeOnly(_) => ExecutionBackend::CpuSingle,
-        }
-    }
-
-    /// The decode-stage override this placement configures.
-    pub fn decode_backend(&self) -> Option<ExecutionBackend> {
-        match self {
-            LinkPlacement::DecodeOnly(b) => Some(*b),
-            LinkPlacement::Cpu | LinkPlacement::Whole(_) => None,
-        }
-    }
-}
-
-/// Picks the cheapest placement for a link's modeled stages.
-///
-/// The engine models backend time for exactly two kernels — the LDPC decode
-/// and the Toeplitz privacy amplification (everything else is host-measured
-/// regardless of backend) — so the comparison covers those two: host for
-/// both, a whole-link accelerator for both, or the decode alone offloaded
-/// with the hash left on the host. Predictions come from the calibrated
-/// models, so the absolute costs track the live host once the calibrator has
-/// samples. Ties keep the simpler option (host first, decode-only before
-/// whole-link).
-pub fn decide_placement(calibrator: &CostCalibrator, block_bits: usize) -> LinkPlacement {
-    let cpu = CostModel::cpu_core();
-    let decode_cpu = calibrator
-        .predict(&cpu, KernelKind::LdpcDecode, block_bits)
-        .as_secs_f64();
-    let hash_cpu = calibrator
-        .predict(&cpu, KernelKind::ToeplitzHash, block_bits)
-        .as_secs_f64();
-    let mut best = (LinkPlacement::Cpu, decode_cpu + hash_cpu);
-    for (backend, model) in [
-        (ExecutionBackend::SimGpu, CostModel::sim_gpu()),
-        (ExecutionBackend::SimFpga, CostModel::sim_fpga()),
-    ] {
-        let decode = calibrator
-            .predict(&model, KernelKind::LdpcDecode, block_bits)
-            .as_secs_f64();
-        let hash = calibrator
-            .predict(&model, KernelKind::ToeplitzHash, block_bits)
-            .as_secs_f64();
-        for (candidate, cost) in [
-            (LinkPlacement::DecodeOnly(backend), decode + hash_cpu),
-            (LinkPlacement::Whole(backend), decode + hash),
-        ] {
-            if cost < best.1 {
-                best = (candidate, cost);
-            }
-        }
-    }
-    best.0
 }
 
 /// One dispatch decision handed to a worker.
@@ -453,59 +342,21 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_places_large_blocks_on_the_gpu() {
-        let cal = CostCalibrator::new();
-        let p = decide_placement(&cal, 8192);
-        assert_eq!(p, LinkPlacement::Whole(ExecutionBackend::SimGpu));
-        assert_eq!(p.backend(), ExecutionBackend::SimGpu);
-        assert_eq!(p.decode_backend(), None);
-        assert_eq!(p.label(), "whole:sim-gpu");
-    }
-
-    #[test]
-    fn calibration_scales_cannot_invert_same_kind_comparisons() {
-        // The calibrator multiplies every backend's prediction of a kind by
-        // the same fitted scale, so whichever backend wins the decode
-        // statically keeps winning after calibration.
-        use qkd_hetero::StageMetrics;
-        use std::time::Duration;
-        let mut cal = CostCalibrator::new();
-        let mut m = StageMetrics::default();
-        m.record_batch(
-            Duration::from_millis(400),
-            Duration::from_millis(400),
-            8 * 8192,
-            8 * 8192,
-            8,
-        );
-        cal.observe(KernelKind::LdpcDecode, &m);
-        assert!(cal.scale(KernelKind::LdpcDecode) > 1.0);
-        assert_eq!(
-            decide_placement(&cal, 8192),
-            LinkPlacement::Whole(ExecutionBackend::SimGpu)
-        );
-    }
-
-    #[test]
     fn placement_labels_cover_all_shapes() {
+        // The label values of the `qkd_sched_batches_total{backend=…}` series
+        // and of `LinkReport::placement`.
+        use qkd_hetero::{DeviceKind, LinkPlacement};
         assert_eq!(LinkPlacement::Cpu.label(), "cpu");
         assert_eq!(
-            LinkPlacement::DecodeOnly(ExecutionBackend::SimFpga).label(),
+            LinkPlacement::DecodeOnly(DeviceKind::SimFpga).label(),
             "decode:sim-fpga"
         );
         assert_eq!(
-            LinkPlacement::DecodeOnly(ExecutionBackend::SimFpga).decode_backend(),
-            Some(ExecutionBackend::SimFpga)
-        );
-        assert_eq!(
-            LinkPlacement::DecodeOnly(ExecutionBackend::SimFpga).backend(),
-            ExecutionBackend::CpuSingle
+            LinkPlacement::Whole(DeviceKind::SimGpu).label(),
+            "whole:sim-gpu"
         );
         assert_eq!(SchedPolicy::Fifo.label(), "fifo");
         assert_eq!(SchedPolicy::Wfq.label(), "wfq");
-        assert_eq!(PlacementPolicy::Cpu.label(), "cpu");
-        assert_eq!(PlacementPolicy::CostModel.label(), "cost-model");
         assert_eq!(SchedPolicy::default(), SchedPolicy::Wfq);
-        assert_eq!(PlacementPolicy::default(), PlacementPolicy::CostModel);
     }
 }

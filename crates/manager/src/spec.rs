@@ -6,7 +6,7 @@ use qkd_core::{PostProcessingConfig, PostProcessor};
 use qkd_simulator::{CorrelatedKeySource, FleetLinkSpec, WorkloadPreset};
 use qkd_types::{QkdError, Result};
 
-use crate::sched::{PlacementPolicy, SchedPolicy};
+use crate::sched::SchedPolicy;
 
 /// Everything that defines one managed link: channel quality, block size and
 /// the single seed from which both the link's sifted-bit stream and its
@@ -153,7 +153,7 @@ pub enum AdmissionPolicy {
 
 /// Fleet-level tuning: how many workers share the pool, how deep each link's
 /// batch backlog may grow, what to do with arrivals past the cap, and how
-/// the scheduler orders and places the work.
+/// the scheduler orders the work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Worker threads in the shared pool (the whole fleet's compute budget).
@@ -165,8 +165,6 @@ pub struct FleetConfig {
     pub admission: AdmissionPolicy,
     /// How the ready queue orders competing links.
     pub policy: SchedPolicy,
-    /// How links are placed onto execution backends.
-    pub placement: PlacementPolicy,
     /// Optional dispatch budget for one [`crate::LinkManager::run`]: the pool
     /// stops after this many batches even if backlogs remain, leaving the
     /// rest queued for the next drain. `None` (the default) drains
@@ -184,7 +182,6 @@ impl Default for FleetConfig {
             max_backlog: 8,
             admission: AdmissionPolicy::Reject,
             policy: SchedPolicy::Wfq,
-            placement: PlacementPolicy::CostModel,
             batch_budget: None,
         }
     }
@@ -212,12 +209,6 @@ impl FleetConfig {
     /// Sets the queueing policy, keeping everything else.
     pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the placement policy, keeping everything else.
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -354,11 +345,9 @@ mod tests {
 
         let config = FleetConfig::default();
         assert_eq!(config.policy, SchedPolicy::Wfq);
-        assert_eq!(config.placement, PlacementPolicy::CostModel);
         assert_eq!(config.batch_budget, None);
         config
             .with_policy(SchedPolicy::Fifo)
-            .with_placement(PlacementPolicy::Cpu)
             .with_batch_budget(Some(16))
             .validate()
             .unwrap();

@@ -1,9 +1,9 @@
 //! Decoy-state BB84 source, channel and detector simulator.
 //!
 //! The authors' evaluation consumed raw key streams from a physical QKD
-//! testbed. This crate is the substitute substrate (see `DESIGN.md`): it
-//! simulates the optical layer of a decoy-state BB84 link — weak coherent
-//! pulse source, lossy fibre, imperfect threshold detectors — and emits
+//! testbed. This crate is the substitute substrate: it simulates the optical
+//! layer of a decoy-state BB84 link — weak coherent pulse source, lossy
+//! fibre, imperfect threshold detectors — and emits
 //! [`qkd_types::DetectionEvent`] streams plus ground-truth statistics, so the
 //! post-processing stack is exercised on workloads whose loss and QBER match
 //! real fibre spans from 0 to 200 km.

@@ -1,9 +1,7 @@
 //! Integration tests spanning the whole workspace: simulator → sifting →
 //! reconciliation → verification → privacy amplification → authentication.
 
-use qkd::core::{
-    ExecutionBackend, PipelineOptions, PostProcessingConfig, PostProcessor, ReconciliationMethod,
-};
+use qkd::core::{PipelineOptions, PostProcessingConfig, PostProcessor, ReconciliationMethod};
 use qkd::manager::{Admission, FleetConfig, LinkManager, LinkSpec};
 use qkd::simulator::{
     detection_events, CorrelatedKeySource, FleetWorkload, LinkConfig, LinkSimulator, WorkloadPreset,
@@ -131,27 +129,6 @@ fn ldpc_and_cascade_both_distil_the_same_workload() {
 }
 
 #[test]
-fn backends_agree_functionally_but_differ_in_modeled_time() {
-    let mut src = CorrelatedKeySource::from_preset(WorkloadPreset::Metro, 8192, 6).unwrap();
-    let block = src.next_block();
-    let mut lengths = Vec::new();
-    for backend in [
-        ExecutionBackend::CpuSingle,
-        ExecutionBackend::SimGpu,
-        ExecutionBackend::SimFpga,
-    ] {
-        let config = PostProcessingConfig::for_block_size(8192).with_backend(backend);
-        let mut processor = PostProcessor::new(config, 5).unwrap();
-        let result = processor
-            .process_sifted_block(&block.alice, &block.bob)
-            .unwrap();
-        lengths.push(result.secret_key.len());
-    }
-    assert_eq!(lengths[0], lengths[1]);
-    assert_eq!(lengths[1], lengths[2]);
-}
-
-#[test]
 fn stressed_link_still_reconciles_but_yields_less_key() {
     let mut metro = CorrelatedKeySource::from_preset(WorkloadPreset::Metro, 16_384, 9).unwrap();
     let mut stressed =
@@ -196,29 +173,48 @@ fn tampered_channel_aborts_the_block() {
 
 #[test]
 fn scheduler_and_engine_tell_a_consistent_offload_story() {
-    use qkd::hetero::{scheduler::pipeline_task_graph, CostModel, SchedulePolicy, Scheduler};
-    // The simulated schedule over CPU+GPU+FPGA must beat the CPU-only one for
-    // a large batch, which is the premise behind offloading in the engine.
-    let tasks = pipeline_task_graph(32, 1 << 18);
-    let cpu_only = Scheduler::new(
-        vec![("cpu".into(), CostModel::cpu_core())],
-        SchedulePolicy::GreedyEarliestFinish,
-    )
-    .unwrap();
-    let hetero = Scheduler::new(
-        vec![
-            ("cpu".into(), CostModel::cpu_core()),
-            ("gpu".into(), CostModel::sim_gpu()),
-            ("fpga".into(), CostModel::sim_fpga()),
-        ],
-        SchedulePolicy::Heft,
-    )
-    .unwrap();
-    let m_cpu = cpu_only.simulate(&tasks).unwrap().makespan;
-    let m_het = hetero.simulate(&tasks).unwrap().makespan;
+    use qkd::hetero::{
+        decide_placement, modeled_time, CostCalibrator, KernelKind, LinkPlacement, StageMetrics,
+        ThroughputReport,
+    };
+    // The engine measures: warm a calibrator on real host blocks, the way a
+    // fleet link does before placement may leave the CPU.
+    let block_bits = 8192;
+    let mut processor =
+        PostProcessor::new(PostProcessingConfig::for_block_size(block_bits), 5).unwrap();
+    let mut src = CorrelatedKeySource::from_preset(WorkloadPreset::Metro, block_bits, 6).unwrap();
+    let mut report = ThroughputReport::default();
+    for _ in 0..CostCalibrator::MIN_SAMPLES {
+        let block = src.next_block();
+        let result = processor
+            .process_sifted_block(&block.alice, &block.bob)
+            .unwrap();
+        for (label, host) in &result.stage_times {
+            let mut metrics = StageMetrics::default();
+            metrics.record(*host, *host, block_bits, block_bits);
+            report.record_stage(label.name(), metrics);
+        }
+    }
+    let mut calibrator = CostCalibrator::new();
+    calibrator.observe_report(&report);
+    // The scheduler models: on the fit the engine's own times produced it
+    // moves the decode off the CPU, and pricing the measured decode under
+    // that decision undercuts what the host took — the premise of offloading.
+    let placement = decide_placement(&calibrator, block_bits);
+    assert_ne!(placement, LinkPlacement::Cpu);
+    let decode = report.stages[StageLabel::Reconciliation.name()];
+    let host = decode.host_time / decode.items as u32;
+    let modeled = modeled_time(
+        &calibrator,
+        placement,
+        KernelKind::LdpcDecode,
+        block_bits,
+        host,
+    );
     assert!(
-        m_het.as_secs_f64() < m_cpu.as_secs_f64() / 2.0,
-        "heterogeneous schedule {m_het:?} should be far faster than CPU-only {m_cpu:?}"
+        modeled < host,
+        "{} should undercut the host decode: modeled {modeled:?} vs measured {host:?}",
+        placement.label()
     );
 }
 
