@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -33,31 +34,72 @@ pub struct KeyPool {
 
 #[derive(Debug)]
 struct PoolInner {
+    /// Key material in memory; the first `cursor` bits are already drawn.
     bits: BitVec,
     cursor: usize,
+    /// A simulated pad's generator and the bits it still owes. They follow
+    /// `bits` in the stream and are produced a draw at a time.
+    pad: Option<(StdRng, usize)>,
     total_added: usize,
+    consumed: usize,
     draws: usize,
 }
 
+impl PoolInner {
+    fn remaining(&self) -> usize {
+        self.bits.len() - self.cursor + self.pad.as_ref().map_or(0, |(_, owed)| *owed)
+    }
+
+    /// Brings up to `wanted` more pad bits into memory, dropping the drawn
+    /// whole words first. Whole words are generated in the order
+    /// [`BitVec::random`] draws them (the final one masked the same way), so
+    /// the stream is bit-identical to a pad filled up front — and `bits`
+    /// stays word-aligned for as long as the pad owes anything.
+    fn generate(&mut self, wanted: usize) {
+        let Some((rng, owed)) = &mut self.pad else {
+            return;
+        };
+        let take = wanted.min(*owed).next_multiple_of(64).min(*owed);
+        let drawn_words = self.cursor / 64 * 64;
+        let mut bits = self.bits.slice(drawn_words, self.bits.len());
+        bits.extend_from(&BitVec::random(rng, take));
+        self.bits = bits;
+        self.cursor -= drawn_words;
+        *owed -= take;
+        if *owed == 0 {
+            self.pad = None;
+        }
+    }
+}
+
 impl KeyPool {
-    /// Creates a pool from explicit key material.
-    pub fn new(bits: BitVec) -> Self {
-        let total = bits.len();
+    fn from_parts(bits: BitVec, pad: Option<(StdRng, usize)>, total_added: usize) -> Self {
         Self {
             inner: Arc::new(Mutex::new(PoolInner {
                 bits,
                 cursor: 0,
-                total_added: total,
+                pad,
+                total_added,
+                consumed: 0,
                 draws: 0,
             })),
         }
     }
 
-    /// Creates a pool filled with `bits` pseudo-random bits (testing /
-    /// simulation convenience; real deployments load QKD or pre-shared key).
+    /// Creates a pool from explicit key material.
+    pub fn new(bits: BitVec) -> Self {
+        let total = bits.len();
+        Self::from_parts(bits, None, total)
+    }
+
+    /// Creates a pool of `bits` pseudo-random bits (testing / simulation
+    /// convenience; real deployments load QKD or pre-shared key). The pad is
+    /// the stream `BitVec::random` would draw from the seeded generator, but
+    /// it is generated as it is drawn, not held in memory: a simulated link
+    /// with a 2^26-bit pad would otherwise pin 8 MiB it never reads.
     pub fn with_random_key(bits: usize, seed: u64) -> Self {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        Self::new(BitVec::random(&mut rng, bits))
+        let pad = (bits > 0).then(|| (StdRng::seed_from_u64(seed), bits));
+        Self::from_parts(BitVec::new(), pad, bits)
     }
 
     /// Draws `count` bits from the pool, consuming them permanently.
@@ -68,15 +110,20 @@ impl KeyPool {
     /// remain.
     pub fn draw(&self, count: usize) -> Result<BitVec> {
         let mut inner = self.inner.lock();
-        let remaining = inner.bits.len() - inner.cursor;
+        let remaining = inner.remaining();
         if count > remaining {
             return Err(QkdError::AuthKeyExhausted {
                 requested: count,
                 remaining,
             });
         }
+        let in_memory = inner.bits.len() - inner.cursor;
+        if count > in_memory {
+            inner.generate(count - in_memory);
+        }
         let out = inner.bits.slice(inner.cursor, inner.cursor + count);
         inner.cursor += count;
+        inner.consumed += count;
         inner.draws += 1;
         Ok(out)
     }
@@ -84,14 +131,15 @@ impl KeyPool {
     /// Adds freshly distilled key material to the pool (key recycling).
     pub fn replenish(&self, bits: &BitVec) {
         let mut inner = self.inner.lock();
+        // Recycled key queues behind whatever a simulated pad still owes.
+        inner.generate(usize::MAX);
         inner.bits.extend_from(bits);
         inner.total_added += bits.len();
     }
 
     /// Remaining bits available for drawing.
     pub fn remaining(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.bits.len() - inner.cursor
+        self.inner.lock().remaining()
     }
 
     /// Snapshot of the pool statistics.
@@ -99,8 +147,8 @@ impl KeyPool {
         let inner = self.inner.lock();
         KeyPoolStats {
             total_added: inner.total_added,
-            consumed: inner.cursor,
-            remaining: inner.bits.len() - inner.cursor,
+            consumed: inner.consumed,
+            remaining: inner.remaining(),
             draws: inner.draws,
         }
     }
@@ -145,6 +193,47 @@ mod tests {
         assert_eq!(pool.remaining(), 32);
         assert_eq!(pool.stats().total_added, 96);
         assert_eq!(pool.draw(32).unwrap().count_ones(), 32);
+    }
+
+    #[test]
+    fn simulated_pad_is_bit_identical_to_a_materialised_one() {
+        use rand::Rng;
+        // Pad lengths on, just past and just short of a word boundary; the
+        // reference pool holds the same stream filled up front.
+        for (bits, seed) in [(64 * 40, 6u64), (64 * 40 + 1, 7), (64 * 40 + 63, 8), (5, 9)] {
+            let lazy = KeyPool::with_random_key(bits, seed);
+            let eager = KeyPool::new(BitVec::random(&mut StdRng::seed_from_u64(seed), bits));
+            assert_eq!(lazy.stats(), eager.stats());
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xa5);
+            for step in 0..200 {
+                if step == 60 {
+                    // Recycled key queues behind the rest of the pad.
+                    let recycled = BitVec::random(&mut rng, 77);
+                    lazy.replenish(&recycled);
+                    eager.replenish(&recycled);
+                }
+                let count = rng.gen_range(0..200usize);
+                match (lazy.draw(count), eager.draw(count)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "draw {step} of {count} bits"),
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => panic!("pools disagree at draw {step}: {a:?} vs {b:?}"),
+                }
+                assert_eq!(lazy.stats(), eager.stats(), "after draw {step}");
+                assert_eq!(lazy.remaining(), eager.remaining());
+            }
+            assert!(eager.remaining() < 200, "the script must reach exhaustion");
+        }
+    }
+
+    #[test]
+    fn simulated_pad_keeps_only_undrawn_words_in_memory() {
+        let pool = KeyPool::with_random_key(1 << 26, 10);
+        for _ in 0..1000 {
+            pool.draw(100).unwrap();
+        }
+        let inner = pool.inner.lock();
+        assert!(inner.bits.len() < 256, "{} bits held", inner.bits.len());
+        assert_eq!(inner.remaining(), (1 << 26) - 100_000);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Criterion bench behind Figure 3: Toeplitz hashing strategies.
+//! Criterion bench behind Figure 3: Toeplitz hashing strategies, plus the two
+//! shapes the engine runs per block.
 
 use std::time::Duration;
 
@@ -31,6 +32,18 @@ fn bench_toeplitz(c: &mut Criterion) {
                 b.iter(|| hash.hash(input, ToeplitzStrategy::Naive).unwrap());
             });
         }
+    }
+    // The engine's own two shapes on a 16 384-bit block: a 64-bit
+    // verification tag (three word diagonals of the product) and a
+    // half-length amplified key (half of them) — the windowing per shape.
+    let n = 16_384usize;
+    let mut rng = derive_rng(4, "bench-pa");
+    let input = BitVec::random(&mut rng, n);
+    for (label, m) in [("clmul-tag64", 64), ("clmul-half", n / 2)] {
+        let hash = ToeplitzHash::random(n, m, &mut rng).unwrap();
+        group.bench_with_input(BenchmarkId::new(label, n), &input, |b, input| {
+            b.iter(|| hash.hash(input, ToeplitzStrategy::Clmul).unwrap());
+        });
     }
     group.finish();
 }

@@ -21,7 +21,8 @@ use qkd_bench::experiments;
 const USAGE: &str = "usage: harness [FLAGS] [EXPERIMENTS...]
 
 Flags (each prints one JSON document to stdout):
-  --smoke        quick kernel smoke benchmark        (qkd-bench-smoke/v1)
+  --smoke        quick kernel smoke benchmark; with PCLMULQDQ present it
+                 asserts floors on its two Toeplitz rows (qkd-bench-smoke/v1)
   --pipelined    sequential-vs-pipelined comparison  (qkd-bench-pipelined/v1)
   --fleet        multi-link fleet over a shared pool: FIFO-vs-WFQ policy
                  cells, host vs placed-modeled stage time and a

@@ -31,6 +31,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/manager/src/store.rs",
     "crates/obs/src/registry.rs",
     "crates/obs/src/histogram.rs",
+    "crates/privacy/src/toeplitz.rs",
 ];
 
 /// Types whose values are (or directly wrap) secret key material. Structs

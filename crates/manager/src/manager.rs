@@ -253,6 +253,10 @@ pub struct LinkManager {
     /// for placement.
     calibrator: Mutex<CostCalibrator>,
     sched_obs: SchedObs,
+    /// One LDPC reconciliation scratch per pool worker, lent out for the
+    /// length of a [`LinkManager::run`]: decode buffers are sized once per
+    /// fleet, not once per run.
+    scratches: Vec<ReconcilerScratch>,
 }
 
 impl std::fmt::Debug for LinkManager {
@@ -275,6 +279,7 @@ impl LinkManager {
         config.validate()?;
         let fleet = qkd_obs::next_instance("fleet");
         let sched_obs = SchedObs::new(&fleet);
+        let scratches = vec![ReconcilerScratch::new(); config.workers];
         Ok(Self {
             config,
             links: Vec::new(),
@@ -284,6 +289,7 @@ impl LinkManager {
             fleet,
             calibrator: Mutex::new(CostCalibrator::new()),
             sched_obs,
+            scratches,
         })
     }
 
@@ -323,6 +329,7 @@ impl LinkManager {
         let (store, recovered_budgets) = KeyStore::open_durable(dir, journal_config)?;
         let fleet = qkd_obs::next_instance("fleet");
         let sched_obs = SchedObs::new(&fleet);
+        let scratches = vec![ReconcilerScratch::new(); config.workers];
         Ok(Self {
             config,
             links: Vec::new(),
@@ -332,6 +339,7 @@ impl LinkManager {
             fleet,
             calibrator: Mutex::new(CostCalibrator::new()),
             sched_obs,
+            scratches,
         })
     }
 
@@ -534,14 +542,16 @@ impl LinkManager {
         }
         let wall_start = Instant::now();
         if queue.outstanding() > 0 {
+            let mut scratches = std::mem::take(&mut self.scratches);
             let this: &LinkManager = self;
             let queue = &queue;
-            crossbeam::thread::scope(|s| {
-                for _ in 0..this.config.workers {
-                    s.spawn(move |_| this.worker(queue));
+            let joined = crossbeam::thread::scope(|s| {
+                for scratch in &mut scratches {
+                    s.spawn(move |_| this.worker(queue, scratch));
                 }
-            })
-            .map_err(|_| QkdError::PipelineStalled {
+            });
+            self.scratches = scratches;
+            joined.map_err(|_| QkdError::PipelineStalled {
                 stage: "fleet-worker",
             })?;
         }
@@ -564,12 +574,11 @@ impl LinkManager {
     }
 
     /// One worker of the shared pool: repeatedly claims the scheduled link
-    /// and processes exactly one of its batches. Each worker owns one
-    /// long-lived LDPC reconciliation scratch that it carries across every
-    /// link it services — per-block decode setup is paid once per worker,
-    /// not once per block (or per link).
-    fn worker(&self, queue: &ReadyQueue) {
-        let mut scratch = ReconcilerScratch::new();
+    /// and processes exactly one of its batches. Each worker borrows one of
+    /// the fleet's long-lived LDPC reconciliation scratches and carries it
+    /// across every link it services — per-block decode setup is paid once
+    /// per worker, not once per block, link or `run()`.
+    fn worker(&self, queue: &ReadyQueue, scratch: &mut ReconcilerScratch) {
         while let Some(Dispatch { link, shard_cap }) = queue.next() {
             let (service_secs, completed, requeue) = {
                 let mut cell = self.links[link].cell.lock();
@@ -606,7 +615,7 @@ impl LinkManager {
                         .map(|batch| batch.results)
                 } else {
                     cell.processor
-                        .process_detections_with_scratch(&events, &mut scratch)
+                        .process_detections_with_scratch(&events, scratch)
                 };
                 let elapsed = batch_start.elapsed();
                 cell.busy += elapsed;

@@ -28,7 +28,7 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ use qkd_journal::{
     CompactionStats, Journal, LinkSnapshot, Record, Replayed, ReservationSnapshot, StoreClock,
     Ticket,
 };
-use qkd_types::{QkdError, Result, SecretBuf, SecretKey};
+use qkd_types::{BitVec, QkdError, Result, SecretBuf, SecretKey};
 
 /// Registry handles for the store-level families. Shared by every store in
 /// the process (stores have no identity of their own); per-link attribution
@@ -205,12 +205,74 @@ impl std::fmt::Debug for Reservation {
     }
 }
 
-/// Per-link storage: a flat bit buffer drained from the front, plus the
-/// reserved keys parked for pickup-by-ID by the peer SAE.
+/// Deposited key not yet delivered: one chunk per deposit, drained from the
+/// front. A deposit is a move into the deque and a drained chunk is wiped as
+/// it is dropped, so key material is never copied into a growing buffer (a
+/// reallocation would leave an unwiped copy in freed heap) and the store lock
+/// is held for a pointer push, not a bit-by-bit append.
+#[derive(Default)]
+struct Shelf {
+    chunks: VecDeque<SecretBuf>,
+    /// Bits of the front chunk already taken.
+    cursor: usize,
+    /// Bits on the shelf (chunk lengths minus `cursor`).
+    len: usize,
+}
+
+impl Shelf {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, bits: SecretBuf) {
+        if !bits.is_empty() {
+            self.len += bits.len();
+            self.chunks.push_back(bits);
+        }
+    }
+
+    /// Removes the first `n` bits (all of them if fewer are held).
+    fn take(&mut self, n: usize) -> SecretBuf {
+        let n = n.min(self.len);
+        // Sized up front so appending never reallocates key material.
+        let mut out = SecretBuf::from_bits(BitVec::with_capacity(n));
+        while out.len() < n {
+            let Some(front) = self.chunks.front() else {
+                break;
+            };
+            let end = front.len().min(self.cursor + n - out.len());
+            let piece = SecretBuf::from_bits(front.slice(self.cursor, end));
+            out.expose_mut().extend_from(&piece);
+            if end == front.len() {
+                self.chunks.pop_front();
+                self.cursor = 0;
+            } else {
+                self.cursor = end;
+            }
+        }
+        self.len -= out.len();
+        out
+    }
+
+    /// A copy of everything on the shelf, in delivery order (the journal
+    /// snapshot's pool).
+    fn rest(&self) -> SecretBuf {
+        let mut out = SecretBuf::from_bits(BitVec::with_capacity(self.len));
+        let mut skip = self.cursor;
+        for chunk in &self.chunks {
+            let piece = SecretBuf::from_bits(chunk.slice(skip, chunk.len()));
+            out.expose_mut().extend_from(&piece);
+            skip = 0;
+        }
+        out
+    }
+}
+
+/// Per-link storage: the shelf of deposited key, plus the reserved keys
+/// parked for pickup-by-ID by the peer SAE.
 #[derive(Default)]
 struct LinkStore {
-    buf: SecretBuf,
-    cursor: usize,
+    shelf: Shelf,
     deposited_bits: u64,
     delivered_bits: u64,
     keys_delivered: u64,
@@ -232,8 +294,7 @@ impl std::fmt::Debug for LinkStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The pool is key material: print its accounting, never its bits.
         f.debug_struct("LinkStore")
-            .field("buf", &self.buf)
-            .field("cursor", &self.cursor)
+            .field("available_bits", &self.shelf.len())
             .field("deposited_bits", &self.deposited_bits)
             .field("delivered_bits", &self.delivered_bits)
             .field("keys_delivered", &self.keys_delivered)
@@ -244,29 +305,16 @@ impl std::fmt::Debug for LinkStore {
 
 impl LinkStore {
     fn available(&self) -> usize {
-        self.buf.len() - self.cursor
-    }
-
-    /// Drops the delivered prefix once it dominates the buffer, so long-lived
-    /// links do not hold on to every bit they ever produced.
-    fn compact(&mut self) {
-        if self.cursor > 0 && self.cursor * 2 >= self.buf.len() {
-            // The old buffer (delivered prefix included) is zeroized by the
-            // outgoing `SecretBuf`'s drop.
-            self.buf = self.buf.slice(self.cursor, self.buf.len()).into();
-            self.cursor = 0;
-        }
+        self.shelf.len()
     }
 
     /// Drains `n_bits` from the front (caller has checked availability),
     /// advancing the delivery ledger and serial atomically with the read.
     fn drain(&mut self, link: usize, n_bits: usize) -> DeliveredKey {
-        let bits = self.buf.slice(self.cursor, self.cursor + n_bits).into();
-        self.cursor += n_bits;
+        let bits = self.shelf.take(n_bits);
         self.delivered_bits += n_bits as u64;
         let serial = self.keys_delivered;
         self.keys_delivered += 1;
-        self.compact();
         DeliveredKey {
             id: KeyId { link, serial },
             bits,
@@ -383,7 +431,7 @@ impl KeyStore {
                 bits: key.bits.clone(),
             })?;
             let store = inner.entry(link).or_default();
-            store.buf.expose_mut().extend_from(&key.bits);
+            store.shelf.push(key.bits.clone());
             store.deposited_bits += key.bits.len() as u64;
             store.blocks_deposited += 1;
             store.epsilon += key.epsilon;
@@ -604,11 +652,12 @@ impl KeyStore {
                     continue;
                 };
                 if let Some(reservation) = store.parked.remove(&serial) {
-                    store.buf.expose_mut().extend_from(&reservation.bits);
-                    store.delivered_bits -= reservation.bits.len() as u64;
+                    let bits = reservation.bits.len() as u64;
+                    store.shelf.push(reservation.bits);
+                    store.delivered_bits -= bits;
                     store.reservations_expired += 1;
                     reclaimed += 1;
-                    reclaimed_bits += reservation.bits.len() as u64;
+                    reclaimed_bits += bits;
                 }
             }
             ticket
@@ -837,7 +886,7 @@ impl KeyStore {
                     keys_delivered: store.keys_delivered,
                     blocks_deposited: store.blocks_deposited,
                     reservations_expired: store.reservations_expired,
-                    pool: store.buf.slice(store.cursor, store.buf.len()).into(),
+                    pool: store.shelf.rest(),
                     parked: store
                         .parked
                         .iter()
@@ -889,8 +938,8 @@ fn apply_record(
             bits,
         } => {
             let store = links.entry(link_index(link)?).or_default();
-            store.buf.expose_mut().extend_from(&bits);
             store.deposited_bits += bits.len() as u64;
+            store.shelf.push(bits);
             store.blocks_deposited += 1;
             store.epsilon += epsilon;
         }
@@ -974,9 +1023,9 @@ fn apply_record(
                 let reservation = store.parked.remove(&serial).ok_or_else(|| {
                     diverged(format_args!("expire of unparked link{link}/key{serial}"))
                 })?;
-                store.buf.expose_mut().extend_from(&reservation.bits);
                 store.delivered_bits -= reservation.bits.len() as u64;
                 store.reservations_expired += 1;
+                store.shelf.push(reservation.bits);
             }
         }
         Record::Budget {
@@ -996,8 +1045,7 @@ fn apply_record(
             links.clear();
             for snap in snaps {
                 let mut store = LinkStore {
-                    buf: snap.pool,
-                    cursor: 0,
+                    shelf: Shelf::default(),
                     deposited_bits: snap.deposited_bits,
                     delivered_bits: snap.delivered_bits,
                     keys_delivered: snap.keys_delivered,
@@ -1007,6 +1055,7 @@ fn apply_record(
                     recovered_bits: 0,
                     parked: BTreeMap::new(),
                 };
+                store.shelf.push(snap.pool);
                 for parked in snap.parked {
                     store.parked.insert(
                         parked.serial,
@@ -1105,11 +1154,12 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_the_remaining_stream() {
+    fn draining_across_deposits_preserves_the_stream() {
         let store = KeyStore::default();
         let k = secret(1000, 5);
         store.deposit(1, &k).unwrap();
-        // Drain most of the buffer in small keys to trigger compaction.
+        // Drain most of the first deposit in small keys, then one key that
+        // spans its tail and the whole of a second deposit.
         let mut delivered = BitVec::new();
         for _ in 0..9 {
             delivered.extend_from(&store.get_key(1, 100).unwrap().bits);
@@ -1122,6 +1172,33 @@ mod tests {
         let status = store.status(1).unwrap();
         assert!(status.balances());
         assert_eq!(status.available_bits, 0);
+    }
+
+    #[test]
+    fn shelf_is_a_fifo_of_bits_whatever_the_chunking() {
+        let mut rng = derive_rng(7, "shelf-test");
+        let mut shelf = Shelf::default();
+        let mut stream = BitVec::new();
+        let mut taken = 0usize;
+        for round in 0..40 {
+            let chunk = BitVec::random(&mut rng, [0, 1, 63, 64, 65, 500][round % 6]);
+            stream.extend_from(&chunk);
+            shelf.push(chunk.into());
+            assert_eq!(shelf.len(), stream.len() - taken);
+            assert_eq!(shelf.rest(), stream.slice(taken, stream.len()));
+            let n = [0, 1, 70, 64, 300, 129][(round * 5) % 6].min(shelf.len());
+            assert_eq!(
+                shelf.take(n),
+                stream.slice(taken, taken + n),
+                "round {round}"
+            );
+            taken += n;
+        }
+        // Asking for more than is held hands over what there is.
+        let rest = shelf.take(usize::MAX);
+        assert_eq!(rest, stream.slice(taken, stream.len()));
+        assert_eq!(shelf.len(), 0);
+        assert!(shelf.chunks.is_empty() && shelf.take(8).is_empty());
     }
 
     #[test]

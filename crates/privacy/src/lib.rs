@@ -5,13 +5,16 @@
 //! (leftover hash lemma). The Toeplitz family is the standard choice because a
 //! single `n + m − 1`-bit seed defines the whole matrix and the product can be
 //! evaluated as a binary convolution — exactly the kernel GPUs and FPGAs
-//! accelerate in the paper's pipeline.
+//! accelerate in the paper's pipeline, and on a CPU the job of its
+//! carry-less-multiply unit.
 //!
 //! The crate provides:
 //!
-//! * [`toeplitz`] — three evaluation strategies for the same hash (bit-wise
-//!   reference, word-packed shift/XOR, and carry-less-multiply convolution),
-//!   all bit-exact with one another;
+//! * [`toeplitz`] — three evaluation strategies for the same hash, all
+//!   bit-exact with one another: the one the engine runs (carry-less-multiply
+//!   convolution on `PCLMULQDQ` where the host has it, computing only the
+//!   product words the output is read from) and two baselines kept as test
+//!   oracles (bit-wise reference, word-packed shift/XOR);
 //! * [`finite_key`] — the composable finite-key secret-length formula and the
 //!   asymptotic rate;
 //! * [`amplifier`] — the [`amplifier::PrivacyAmplifier`] that ties seed

@@ -3,13 +3,27 @@
 //! A Toeplitz matrix `T` of size `m × n` is defined by a seed of `n + m − 1`
 //! bits `t`, with `T[j][i] = t[j + (n − 1 − i)]`. The hash of an input `x` is
 //! `y = T x` over GF(2). Equivalently, `y` is a window of the binary
-//! convolution (carry-less product) of `x` (bit-reversed) with `t`, which is
-//! what the fast implementations exploit.
+//! convolution (carry-less product) of `x` with `t`: `y[j] = (x·t)[n − 1 + j]`.
+//!
+//! The engine runs [`ToeplitzStrategy::Clmul`]: a word-blocked polynomial
+//! product on the CPU's carry-less-multiply unit ([`qkd_types::gf2::clmul_row`],
+//! `PCLMULQDQ` where the host has it), restricted to the word diagonals that
+//! reach the `m` product bits the hash returns — three diagonals for a 64-bit
+//! verification tag, whatever the input length. The naive and packed
+//! strategies compute the same function bit by bit and row by row; they are
+//! the differential oracle and the baselines of the Figure 3 sweep.
 
 use serde::{Deserialize, Serialize};
 
-use qkd_types::gf2::clmul64;
+use qkd_types::gf2::clmul_row;
 use qkd_types::{BitVec, QkdError, Result, SecretBuf};
+
+#[cfg(test)]
+thread_local! {
+    /// 64×64 multiplies issued by `hash_clmul` on this thread (test-only:
+    /// the windowing tests assert the count, nothing reads it in production).
+    static WORD_MULTIPLIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Evaluation strategy for the Toeplitz hash.
 ///
@@ -22,8 +36,9 @@ pub enum ToeplitzStrategy {
     /// Word-packed rows: each output bit is the parity of a 64-bit-word AND
     /// between the input and a sliding window of the seed.
     Packed,
-    /// Carry-less-multiply convolution: the whole product is formed as a
-    /// GF(2) polynomial multiplication, `O(n·m/64²)` word multiplies.
+    /// Carry-less-multiply convolution: the window of the GF(2) polynomial
+    /// product `input · seed` that holds the output, `O(n·m/64²)` word
+    /// multiplies on the carry-less-multiply unit.
     Clmul,
 }
 
@@ -167,15 +182,15 @@ impl ToeplitzHash {
         // offset j. Precompute the reversed input once, then each row is a
         // word-wise AND/popcount against a shifted view of the seed.
         let n = self.input_len;
-        let mut reversed = BitVec::zeros(n);
+        // The reversed copy is the reconciled key: wiped on drop.
+        let mut reversed = SecretBuf::from_bits(BitVec::zeros(n));
         for i in 0..n {
             if input.get(i) {
-                reversed.set(n - 1 - i, true);
+                reversed.expose_mut().set(n - 1 - i, true);
             }
         }
         let rev_words = reversed.as_words();
         let seed_words = self.seed.as_words();
-        let seed_len = self.seed.len();
 
         let mut out = BitVec::zeros(self.output_len);
         for row in 0..self.output_len {
@@ -198,7 +213,6 @@ impl ToeplitzHash {
                 }
                 acc ^= window & rev_word;
             }
-            let _ = seed_len;
             if acc.count_ones() % 2 == 1 {
                 out.set(row, true);
             }
@@ -208,36 +222,36 @@ impl ToeplitzHash {
 
     fn hash_clmul(&self, input: &BitVec) -> BitVec {
         // y[j] = sum_i x[i] · t[(j + n − 1) − i]  =  (x * t)[j + n − 1],
-        // a plain carry-less convolution. Compute the full product with
-        // word-blocked clmul and read out bits n−1 .. n−1+m.
+        // a plain carry-less convolution of which only bits n−1 .. n−1+m are
+        // returned, i.e. product words lo_w ..= hi_w. The word pair (i, j)
+        // lands in product words i+j (low half) and i+j+1 (high half), so
+        // only the diagonals lo_w−1 ≤ i+j ≤ hi_w contribute: a contiguous
+        // seed-word range per input word.
         let n = self.input_len;
         let m = self.output_len;
         let a = input.as_words();
         let b = self.seed.as_words();
-        let prod_words = a.len() + b.len() + 1;
-        let mut prod = vec![0u64; prod_words];
+        let lo_w = (n - 1) / 64;
+        // Also the last seed word: the seed has n + m − 1 bits.
+        let hi_w = (n + m - 2) / 64;
+        // The buffer covers product words base ..= hi_w + 1; its first and
+        // last word only catch the halves of the edge diagonals that fall
+        // outside the window. It holds the amplified key: wiped on drop.
+        let base = lo_w.saturating_sub(1);
+        let mut prod = SecretBuf::from_bits(BitVec::zeros((hi_w + 2 - base) * 64));
+        let window = prod.expose_mut().as_words_mut();
         for (i, &aw) in a.iter().enumerate() {
-            if aw == 0 {
-                continue;
-            }
-            for (j, &bw) in b.iter().enumerate() {
-                if bw == 0 {
-                    continue;
-                }
-                let (lo, hi) = clmul64(aw, bw);
-                prod[i + j] ^= lo;
-                prod[i + j + 1] ^= hi;
-            }
+            let j_lo = base.saturating_sub(i);
+            // Both ranges are in bounds by construction (i ≤ lo_w ≤ hi_w and
+            // j_lo + i ≥ base); an empty fallback multiplies nothing.
+            let row = b.get(j_lo..=hi_w - i).unwrap_or_default();
+            let acc = window.get_mut(i + j_lo - base..).unwrap_or_default();
+            #[cfg(test)]
+            WORD_MULTIPLIES.with(|count| count.set(count.get() + row.len()));
+            clmul_row(aw, row, acc);
         }
-        // Extract bits [n-1, n-1+m).
-        let mut out = BitVec::zeros(m);
-        for j in 0..m {
-            let bit_index = n - 1 + j;
-            if (prod[bit_index / 64] >> (bit_index % 64)) & 1 == 1 {
-                out.set(j, true);
-            }
-        }
-        out
+        let start = n - 1 - base * 64;
+        prod.slice(start, start + m)
     }
 }
 
@@ -262,6 +276,38 @@ mod tests {
             let clmul = h.hash(&x, ToeplitzStrategy::Clmul).unwrap();
             assert_eq!(naive, packed, "packed mismatch at ({n}, {m})");
             assert_eq!(naive, clmul, "clmul mismatch at ({n}, {m})");
+        }
+    }
+
+    /// Hashes with `Clmul`, returning the output and the word multiplies spent.
+    fn counted_clmul(h: &ToeplitzHash, x: &BitVec) -> (BitVec, usize) {
+        WORD_MULTIPLIES.with(|count| count.set(0));
+        let out = h.hash(x, ToeplitzStrategy::Clmul).unwrap();
+        (out, WORD_MULTIPLIES.with(|count| count.get()))
+    }
+
+    #[test]
+    fn engine_shapes_agree_with_naive_and_multiply_only_the_window() {
+        // The three shapes the engine runs: a verification tag and a
+        // privacy-amplified key at 16 384 bits, a tag at 4 096. The bound is
+        // the point of the windowing: the full product would take
+        // (n/64)·((n+m)/64) multiplies — 65 792 for the first row.
+        for &(n, m, max_multiplies) in &[
+            (16_384usize, 64usize, 3 * (16_384 / 64) + 4),
+            (16_384, 7_980, 33_000),
+            (4_096, 64, 3 * (4_096 / 64) + 4),
+        ] {
+            let (h, x) = instance(n, m, (n + m) as u64);
+            let (clmul, multiplies) = counted_clmul(&h, &x);
+            assert_eq!(
+                clmul,
+                h.hash(&x, ToeplitzStrategy::Naive).unwrap(),
+                "clmul mismatch at ({n}, {m})"
+            );
+            assert!(
+                multiplies <= max_multiplies,
+                "({n}, {m}) took {multiplies} word multiplies, window allows {max_multiplies}"
+            );
         }
     }
 

@@ -239,18 +239,34 @@ impl BitVec {
     }
 
     /// Appends all bits of `other`.
+    ///
+    /// Works word-at-a-time: onto a word boundary it is a plain word copy,
+    /// otherwise each incoming word tops up the partial last word and starts
+    /// the next one (the mirror image of the unaligned arm of
+    /// [`BitVec::slice`]).
     pub fn extend_from(&mut self, other: &BitVec) {
-        // Fast path when self ends on a word boundary: memcpy the words.
-        if self.len % WORD_BITS == 0 {
+        let shift = self.len % WORD_BITS;
+        let total_words = words_for(self.len + other.len);
+        // Grow once, and never past the final word count: a secret buffer
+        // sized for its contents must not reallocate (and leave an unwiped
+        // copy behind) because of a transient surplus word.
+        self.words.reserve(total_words - self.words.len());
+        if shift == 0 {
             self.words.extend_from_slice(&other.words);
-            self.len += other.len;
-            self.words.truncate(words_for(self.len));
-            self.mask_tail();
         } else {
-            for i in 0..other.len {
-                self.push(other.get(i));
+            // `shift != 0` means a partial last word exists, with its unused
+            // high bits at zero.
+            for (last, &word) in (self.words.len() - 1..).zip(&other.words) {
+                self.words[last] |= word << shift;
+                // Only the final spill can fall outside the result, and then
+                // it is all zero (`other`'s tail bits are).
+                if self.words.len() < total_words {
+                    self.words.push(word >> (WORD_BITS - shift));
+                }
             }
         }
+        self.len += other.len;
+        self.mask_tail();
     }
 
     /// Number of one bits.
@@ -767,6 +783,37 @@ mod tests {
         assert_eq!(d.len(), 165);
         for i in 0..128 {
             assert_eq!(d.get(37 + i), a.get(i));
+        }
+    }
+
+    #[test]
+    fn extend_from_matches_bit_by_bit_at_every_alignment() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let lengths = [0usize, 1, 63, 64, 65, 127, 128, 129, 191, 200];
+        let mut cases: Vec<(usize, usize)> = lengths
+            .iter()
+            .flat_map(|&a| lengths.iter().map(move |&b| (a, b)))
+            .collect();
+        cases.extend((0..200).map(|_| (rng.gen_range(0..400usize), rng.gen_range(0..400usize))));
+        for (head, tail) in cases {
+            let a = BitVec::random(&mut rng, head);
+            let b = BitVec::random(&mut rng, tail);
+            let mut fast = a.clone();
+            fast.extend_from(&b);
+            let slow: BitVec = a.iter().chain(b.iter()).collect();
+            assert_eq!(fast, slow, "{head} + {tail} bits");
+            assert_eq!(fast.as_words().len(), (head + tail).div_ceil(64));
+            // A buffer sized for the result is never reallocated.
+            let mut sized = BitVec::with_capacity(head + tail);
+            sized.extend_from(&a);
+            let storage = sized.as_words().as_ptr();
+            sized.extend_from(&b);
+            assert_eq!(sized, slow);
+            assert!(head == 0 || sized.as_words().as_ptr() == storage);
+            // The tail invariant survives: appending again stays exact.
+            fast.extend_from(&b);
+            let slow: BitVec = slow.iter().chain(b.iter()).collect();
+            assert_eq!(fast, slow, "{head} + 2 × {tail} bits");
         }
     }
 

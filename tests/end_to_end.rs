@@ -432,3 +432,58 @@ fn error_types_are_stable_across_the_stack() {
         other => panic!("expected QberAboveThreshold, got {other:?}"),
     }
 }
+
+/// Distils `blocks` full blocks of one link (the fleet's engine config, the
+/// fleet's key source) and returns the per-block key fingerprints plus the
+/// time-free ledger.
+fn golden_link(qber: f64, block_bits: usize, seed: u64, blocks: usize) -> (Vec<u32>, String) {
+    let spec = LinkSpec::new("golden", qber, block_bits, seed);
+    let mut source = spec.key_source().unwrap();
+    let mut processor = spec.solo_processor().unwrap();
+    let (mut alice, mut bob) = (BitVec::new(), BitVec::new());
+    for _ in 0..blocks {
+        let blk = source.next_block();
+        alice.extend_from(&blk.alice);
+        bob.extend_from(&blk.bob);
+    }
+    let results = processor
+        .process_detections(&detection_events(&alice, &bob))
+        .unwrap();
+    let prints = results
+        .iter()
+        .map(|r| r.secret_key.bits.fingerprint())
+        .collect();
+    (prints, format!("{:?}", processor.summary().accounting()))
+}
+
+#[test]
+fn fixed_seed_keys_and_ledger_match_the_committed_golden() {
+    // Recorded at the commit before the Toeplitz kernel moved onto the
+    // carry-less-multiply unit: the hash is the same function under the same
+    // seeds, so keys, abort pattern and ledger must repeat to the bit.
+    let (prints, ledger) = golden_link(0.025, 4096, 1307, 4);
+    assert_eq!(
+        prints, GOLDEN_4096.0,
+        "4096-bit link: {prints:#x?} / {ledger}"
+    );
+    assert_eq!(ledger, GOLDEN_4096.1);
+    let (prints, ledger) = golden_link(0.01, 16_384, 2203, 3);
+    assert_eq!(
+        prints, GOLDEN_16384.0,
+        "16384-bit link: {prints:#x?} / {ledger}"
+    );
+    assert_eq!(ledger, GOLDEN_16384.1);
+}
+
+const GOLDEN_4096: (&[u32], &str) = (
+    &[0xdd2c_59e1, 0x19bd_e281, 0xfe5f_2ffa, 0xfd16_c83e],
+    "SessionAccounting { blocks_ok: 4, blocks_failed: 0, sifted_bits_in: 16384, \
+     secret_bits_out: 2917, disclosed_bits: 7218, auth_bits_consumed: 2560, carried_bits: 0, \
+     discarded_bits: 0, round_trips: 16, messages: 24, payload_bits: 11978 }",
+);
+const GOLDEN_16384: (&[u32], &str) = (
+    &[0xee62_fb58, 0x202f_314c, 0xc5fc_9960],
+    "SessionAccounting { blocks_ok: 3, blocks_failed: 0, sifted_bits_in: 49152, \
+     secret_bits_out: 24090, disclosed_bits: 14862, auth_bits_consumed: 1920, carried_bits: 0, \
+     discarded_bits: 0, round_trips: 12, messages: 18, payload_bits: 23964 }",
+);

@@ -128,6 +128,30 @@ proptest! {
     }
 
     #[test]
+    fn toeplitz_window_matches_naive_at_word_edges(words in 1usize..6, n_edge in 0usize..3,
+                                                   m_kind in 0usize..4, fill in 0usize..4,
+                                                   seed in any::<u64>()) {
+        // Input lengths that end on, just past and just before a word
+        // boundary; output lengths from one bit to no compression at all;
+        // inputs and seeds that are random, all-zero or all-one.
+        let n = words * 64 + [0, 1, 63][n_edge];
+        let m = [1, 64, n / 2, n][m_kind];
+        let mut rng = derive_rng(seed, "prop-toeplitz-window");
+        let filled = |rng: &mut _, len: usize, kind: usize| match kind {
+            0 => BitVec::zeros(len),
+            1 => BitVec::ones(len),
+            _ => BitVec::random(rng, len),
+        };
+        let x = filled(&mut rng, n, fill);
+        let hash = ToeplitzHash::new(n, m, filled(&mut rng, n + m - 1, (fill + 1) % 4)).unwrap();
+        prop_assert_eq!(
+            hash.hash(&x, ToeplitzStrategy::Clmul).unwrap(),
+            hash.hash(&x, ToeplitzStrategy::Naive).unwrap(),
+            "n = {}, m = {}", n, m
+        );
+    }
+
+    #[test]
     fn toeplitz_hash_is_linear(n in 65usize..300, seed in any::<u64>()) {
         let mut rng = derive_rng(seed, "prop-toeplitz-lin");
         let hash = ToeplitzHash::random(n, n / 2, &mut rng).unwrap();
