@@ -19,14 +19,9 @@ fn bench_toeplitz(c: &mut Criterion) {
         let mut rng = derive_rng(3, "bench-pa");
         let input = BitVec::random(&mut rng, n);
         let hash = ToeplitzHash::random(n, n / 2, &mut rng).unwrap();
-        for (label, strategy) in [
-            ("packed", ToeplitzStrategy::Packed),
-            ("clmul", ToeplitzStrategy::Clmul),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &input, |b, input| {
-                b.iter(|| hash.hash(input, strategy).unwrap());
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("clmul", n), &input, |b, input| {
+            b.iter(|| hash.hash(input, ToeplitzStrategy::Clmul).unwrap());
+        });
         if n <= 16_384 {
             group.bench_with_input(BenchmarkId::new("naive", n), &input, |b, input| {
                 b.iter(|| hash.hash(input, ToeplitzStrategy::Naive).unwrap());

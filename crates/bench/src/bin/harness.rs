@@ -8,7 +8,6 @@
 //! cargo run --release -p qkd-bench --bin harness -- all
 //! cargo run --release -p qkd-bench --bin harness -- table1 fig5 ablate-decoder
 //! cargo run --release -p qkd-bench --bin harness -- --smoke
-//! cargo run --release -p qkd-bench --bin harness -- --smoke --pipelined
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --fleet
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --api
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --journal
@@ -22,8 +21,8 @@ const USAGE: &str = "usage: harness [FLAGS] [EXPERIMENTS...]
 
 Flags (each prints one JSON document to stdout):
   --smoke        quick kernel smoke benchmark; with PCLMULQDQ present it
-                 asserts floors on its two Toeplitz rows (qkd-bench-smoke/v1)
-  --pipelined    sequential-vs-pipelined comparison  (qkd-bench-pipelined/v1)
+                 asserts floors on its two Toeplitz rows; also reports one
+                 engine batch at width 1 and width nproc (qkd-bench-smoke/v1)
   --fleet        multi-link fleet over a shared pool: FIFO-vs-WFQ policy
                  cells, host vs placed-modeled stage time and a
                  links x workers grid              (qkd-bench-fleet/v3)
@@ -35,8 +34,8 @@ Flags (each prints one JSON document to stdout):
   --obs-overhead telemetry on/off decode-throughput gate  (qkd-bench-obs/v1)
   --help, -h     print this help and exit
 
-`--pipelined`, `--fleet`, `--api`, `--journal`, `--decoder` and
-`--obs-overhead` run their benchmark whether or not `--smoke` is present; `--smoke` alone runs the kernel
+`--fleet`, `--api`, `--journal`, `--decoder` and `--obs-overhead` run their
+benchmark whether or not `--smoke` is present; `--smoke` alone runs the kernel
 smoke benchmark.
 
 Experiments (aligned text tables):
@@ -73,8 +72,6 @@ fn main() {
     const KNOWN: &[&str] = &[
         "--smoke",
         "smoke",
-        "--pipelined",
-        "pipelined",
         "--fleet",
         "fleet",
         "--api",
@@ -108,16 +105,12 @@ fn main() {
     // Both `--smoke` and the bare `smoke` spelling are accepted, as before.
     let has = |name: &str| args.iter().any(|a| a.trim_start_matches("--") == name);
     let smoke = has("smoke");
-    let pipelined = has("pipelined");
     let fleet = has("fleet");
     let api = has("api");
     let journal = has("journal");
     let decoder = has("decoder");
     let obs_overhead = has("obs-overhead");
 
-    if pipelined {
-        experiments::smoke_pipelined();
-    }
     if fleet {
         experiments::smoke_fleet();
     }
@@ -133,7 +126,7 @@ fn main() {
     if obs_overhead {
         experiments::smoke_obs_overhead();
     }
-    if smoke && !pipelined && !fleet && !api && !journal && !decoder && !obs_overhead {
+    if smoke && !fleet && !api && !journal && !decoder && !obs_overhead {
         experiments::smoke();
     }
 

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use qkd_cascade::{CascadeConfig, CascadeReconciler};
 use qkd_core::{
-    verify_keys, BlockResult, ChannelModel, PipelineOptions, PostProcessingConfig, PostProcessor,
+    verify_keys, BlockResult, ChannelModel, PostProcessingConfig, PostProcessor, ReconcilerScratch,
     VerificationConfig,
 };
 use qkd_hetero::{
@@ -265,7 +265,6 @@ pub fn fig3() {
         let hash = ToeplitzHash::random(n, n / 2, &mut rng).unwrap();
         for (label, strategy) in [
             ("naive", ToeplitzStrategy::Naive),
-            ("packed", ToeplitzStrategy::Packed),
             ("clmul", ToeplitzStrategy::Clmul),
         ] {
             // The naive strategy is quadratic; skip it at the largest size to
@@ -624,8 +623,52 @@ pub fn smoke() {
         mbps(block as f64, t),
     ));
 
+    // One batch of twelve blocks at width 1 and at width nproc (report-only:
+    // what fanning a batch out does depends on the cores this host really
+    // has). Warm, interleaved, best of five; two engines on one seed fed the
+    // same batches must hand back the same keys at every repetition.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let blocks = 12usize;
+    let events = correlated_events(blocks * block, qber, 51);
+    let mut config = PostProcessingConfig::for_block_size(block);
+    config.sampling.sample_fraction = 0.15;
+    let mut narrow = PostProcessor::new(config.clone(), 47).unwrap();
+    let mut wide = PostProcessor::new(config, 47).unwrap();
+    let mut scratches: Vec<ReconcilerScratch> =
+        (0..nproc).map(|_| ReconcilerScratch::new()).collect();
+    let (mut t_narrow, mut t_wide) = (Duration::MAX, Duration::MAX);
+    for rep in 0..6 {
+        let (one, t1) = timed(|| {
+            narrow
+                .process_detections_with_scratch(&events, &mut scratches[..1])
+                .unwrap()
+        });
+        let (many, tn) = timed(|| {
+            wide.process_detections_with_scratch(&events, &mut scratches)
+                .unwrap()
+        });
+        assert!(
+            one.iter()
+                .map(|r| &r.secret_key.bits)
+                .eq(many.iter().map(|r| &r.secret_key.bits)),
+            "width {nproc} keys must be bit-identical to width 1"
+        );
+        // The first pass warms scratches and caches.
+        if rep > 0 {
+            t_narrow = t_narrow.min(t1);
+            t_wide = t_wide.min(tn);
+        }
+    }
+    assert_eq!(narrow.summary().accounting(), wide.summary().accounting());
+    for (name, t) in [("engine_batch_w1", t_narrow), ("engine_batch_wN", t_wide)] {
+        let bits = (blocks * block) as f64;
+        results.push((name, t.as_secs_f64() * 1e3, mbps(bits, t)));
+    }
+
     // Hand-rolled JSON so the harness stays dependency-free.
-    let mut json = String::from("{\n  \"schema\": \"qkd-bench-smoke/v1\",\n  \"results\": [\n");
+    let mut json = format!(
+        "{{\n  \"schema\": \"qkd-bench-smoke/v1\",\n  \"nproc\": {nproc},\n  \"results\": [\n"
+    );
     for (i, (name, ms, mbit)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         json.push_str(&format!(
@@ -896,99 +939,6 @@ fn correlated_events(len: usize, qber: f64, seed: u64) -> Vec<qkd_types::Detecti
         .unwrap()
         .next_block();
     qkd_simulator::detection_events(&blk.alice, &blk.bob)
-}
-
-/// Sequential-vs-pipelined engine benchmark: distils the same detection batch
-/// through `process_detections` and `process_detections_pipelined` and prints
-/// one machine-readable JSON document (`qkd-bench-pipelined/v1`).
-///
-/// The workload (many mid-size blocks with real QBER sampling) keeps all five
-/// stages busy, so the pipeline has overlap to exploit. Two speedups are
-/// reported: `speedup_measured` (wall clock on this host — needs free cores
-/// to materialise) and `speedup_stage_bound` (total stage busy time over the
-/// busiest stage, times the shard count: the throughput the run converges to
-/// with enough cores). The run asserts that both paths produced identical
-/// secret keys, so the benchmark doubles as a determinism check.
-pub fn smoke_pipelined() {
-    let total_start = std::time::Instant::now();
-    let block = 16_384usize;
-    let blocks = 12usize;
-    let qber = 0.02f64;
-    let seed = 47u64;
-    let events = correlated_events(blocks * block, qber, 51);
-
-    let mut config = PostProcessingConfig::for_block_size(block);
-    config.sampling.sample_fraction = 0.15;
-
-    let mut seq = PostProcessor::new(config.clone(), seed).unwrap();
-    let (seq_results, seq_time) = timed(|| seq.process_detections(&events).unwrap());
-
-    let options = PipelineOptions::saturating();
-    let mut pipe = PostProcessor::new(config, seed).unwrap();
-    let (batch, pipe_time) = timed(|| {
-        pipe.process_detections_pipelined(&events, &options)
-            .unwrap()
-    });
-
-    assert_eq!(seq_results.len(), batch.results.len());
-    for (s, p) in seq_results.iter().zip(&batch.results) {
-        assert_eq!(
-            s.secret_key.bits, p.secret_key.bits,
-            "pipelined keys must be bit-identical to sequential"
-        );
-    }
-    assert_eq!(
-        seq.summary().accounting(),
-        pipe.summary().accounting(),
-        "pipelined accounting must equal sequential"
-    );
-
-    let report = &batch.throughput;
-    let seq_bps = blocks as f64 / seq_time.as_secs_f64();
-    let pipe_bps = blocks as f64 / pipe_time.as_secs_f64();
-    let stage_bound = report.stage_overlap_bound() * options.shards as f64;
-
-    let mut json = String::from("{\n  \"schema\": \"qkd-bench-pipelined/v1\",\n");
-    json.push_str(&format!(
-        "  \"nproc\": {},\n  \"blocks\": {blocks},\n  \"block_bits\": {block},\n  \"shards\": {},\n  \"channel_capacity\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        options.shards,
-        options.channel_capacity
-    ));
-    json.push_str(&format!(
-        "  \"sequential\": {{\"ms\": {:.3}, \"blocks_per_s\": {:.2}}},\n",
-        seq_time.as_secs_f64() * 1e3,
-        seq_bps
-    ));
-    json.push_str(&format!(
-        "  \"pipelined\": {{\"ms\": {:.3}, \"blocks_per_s\": {:.2}}},\n",
-        pipe_time.as_secs_f64() * 1e3,
-        pipe_bps
-    ));
-    json.push_str(&format!(
-        "  \"speedup_measured\": {:.3},\n  \"speedup_stage_bound\": {:.3},\n",
-        pipe_bps / seq_bps,
-        stage_bound
-    ));
-    json.push_str(&format!(
-        "  \"secret_bits\": {},\n  \"keys_identical\": true,\n  \"stages\": [\n",
-        pipe.summary().secret_bits_out
-    ));
-    let num_stages = report.stages.len();
-    for (i, (name, m)) in report.stages.iter().enumerate() {
-        let comma = if i + 1 < num_stages { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"busy_ms\": {:.3}, \"blocked_ms\": {:.3}, \"utilisation\": {:.3}}}{comma}\n",
-            m.host_time.as_secs_f64() * 1e3,
-            m.blocked_time.as_secs_f64() * 1e3,
-            report.utilisation(name)
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"total_wall_s\": {:.3}\n}}",
-        total_start.elapsed().as_secs_f64()
-    ));
-    println!("{json}");
 }
 
 /// Runs one fleet configuration to completion: builds the links, submits the

@@ -19,95 +19,6 @@ pub enum ReconciliationMethod {
     Cascade,
 }
 
-/// Options for the pipelined batch path
-/// ([`crate::PostProcessor::process_detections_pipelined`]).
-///
-/// Blocks are round-robined across `shards` independent stage pipelines; each
-/// pipeline runs the five distillation stages on their own worker threads
-/// connected by bounded channels of depth `channel_capacity` (back-pressure:
-/// a fast stage blocks rather than buffering unboundedly ahead of a slow
-/// one).
-///
-/// Secret keys and session accounting are bit-identical to the sequential
-/// path for any option values, because every block draws from its own RNG
-/// stream derived from the session seed and block id. The only state shared
-/// between in-flight blocks is the authentication key pool; with `shards > 1`
-/// its *draw order* follows pipeline completion order rather than block
-/// order, so a batch aborted mid-way by pool exhaustion can leave the pool
-/// cursor at a slightly different position than a sequential run of the same
-/// batch. Use `shards = 1` when strict lockstep with the sequential path
-/// under exhaustion matters more than throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineOptions {
-    /// Bounded depth of each inter-stage channel. Must be positive.
-    pub channel_capacity: usize,
-    /// Number of parallel stage pipelines blocks are distributed across.
-    /// Must be positive.
-    pub shards: usize,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        Self {
-            channel_capacity: 4,
-            shards: 1,
-        }
-    }
-}
-
-impl PipelineOptions {
-    /// Options tuned for throughput on the current host: one pipeline shard
-    /// per two available cores (capped at 4), so the five stage threads of
-    /// each shard have cores to overlap on.
-    pub fn saturating() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self {
-            channel_capacity: 4,
-            shards: cores.div_ceil(2).min(4),
-        }
-    }
-
-    /// Sets the shard count, keeping everything else.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Options autoscaled from queue pressure: one shard as the baseline,
-    /// one more per four backlogged batches, never exceeding the spare cores
-    /// actually available to host the extra stage threads (and the same
-    /// cap of 4 as [`PipelineOptions::saturating`]). With an empty backlog
-    /// or no spare cores this is exactly the sequential-equivalent default.
-    pub fn for_backlog(backlog: usize, spare_cores: usize) -> Self {
-        let wanted = 1 + backlog / 4;
-        Self {
-            channel_capacity: 4,
-            shards: wanted.clamp(1, spare_cores.clamp(1, 4)),
-        }
-    }
-
-    /// Validates the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QkdError::InvalidParameter`] when a field is zero.
-    pub fn validate(&self) -> Result<()> {
-        if self.channel_capacity == 0 {
-            return Err(QkdError::invalid_parameter(
-                "channel_capacity",
-                "inter-stage channels need a positive bound",
-            ));
-        }
-        if self.shards == 0 {
-            return Err(QkdError::invalid_parameter(
-                "shards",
-                "at least one pipeline shard is required",
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Full configuration of the post-processing engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PostProcessingConfig {
@@ -227,21 +138,5 @@ mod tests {
         let mut c = PostProcessingConfig::for_block_size(4096);
         c.sampling.sample_fraction = 2.0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn pipeline_options_validate() {
-        PipelineOptions::default().validate().unwrap();
-        PipelineOptions::saturating().validate().unwrap();
-        assert!(PipelineOptions {
-            channel_capacity: 0,
-            shards: 1
-        }
-        .validate()
-        .is_err());
-        assert!(PipelineOptions::default()
-            .with_shards(0)
-            .validate()
-            .is_err());
     }
 }

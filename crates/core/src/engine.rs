@@ -5,15 +5,17 @@
 //! authentication) over a [`BlockInFlight`] item that owns everything its
 //! block needs: the bits, a private RNG stream derived from the session seed
 //! and the block id, the intermediate stage products, and a session-summary
-//! delta. The sequential path ([`PostProcessor::process_sifted_block`]) runs
-//! the five stages in order on one thread; the pipelined path
-//! ([`PostProcessor::process_detections_pipelined`]) runs each stage on its
-//! own worker thread via [`qkd_hetero::Pipeline`] and overlaps blocks across
-//! stages. Because the stages are the same code and every block draws from
-//! its own deterministic RNG, both paths produce bit-identical keys and equal
-//! accounting.
+//! delta. There is one batch body (`PostProcessor::distil`, behind every
+//! public entry point): it runs the first four stages — which touch only the
+//! item and the reconciliation scratch they are handed — over as many
+//! contiguous chunks of the batch as the caller lent scratches (inline on
+//! the caller for one, scoped threads beyond that), then authenticates and
+//! merges every block on the calling thread in block order. Because every
+//! block draws from its own
+//! deterministic RNG and the only shared state (the authentication key pool,
+//! the session summary) is touched in block order, keys, accounting and pool
+//! position are identical at every width, under every outcome.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -21,17 +23,16 @@ use serde::{Deserialize, Serialize};
 
 use qkd_auth::{AuthConfig, Authenticator, KeyPool};
 use qkd_cascade::CascadeReconciler;
-use qkd_hetero::{Pipeline, ThroughputReport};
 use qkd_ldpc::{LdpcReconciler, ReconcilerScratch};
 use qkd_privacy::PrivacyAmplifier;
 use qkd_sifting::{estimate_qber, sift, SiftingConfig};
 use qkd_types::frame::StageLabel;
 use qkd_types::key::binary_entropy;
 use qkd_types::rng::derive_block_rng;
-use qkd_types::{BitVec, BlockId, DetectionEvent, QkdError, Result, SecretKey};
+use qkd_types::{BitVec, BlockId, DetectionEvent, QkdError, Result, SecretBuf, SecretKey};
 
 use crate::channel::ChannelUsage;
-use crate::config::{PipelineOptions, PostProcessingConfig, ReconciliationMethod};
+use crate::config::{PostProcessingConfig, ReconciliationMethod};
 use crate::metrics::SessionSummary;
 use crate::verification::verify_keys;
 
@@ -115,18 +116,6 @@ impl BlockResult {
     }
 }
 
-/// Output of the pipelined batch path: per-block results in block order plus
-/// stage-level throughput of the run.
-#[derive(Debug, Clone)]
-pub struct PipelinedBatch {
-    /// Per-block results, ordered by block id (failed blocks are counted in
-    /// the session summary and omitted, exactly like the sequential path).
-    pub results: Vec<BlockResult>,
-    /// Per-stage busy/blocked time, utilisation and bit throughput of the
-    /// pipeline run.
-    pub throughput: ThroughputReport,
-}
-
 /// Returns `true` when `process_detections` would propagate this error to the
 /// caller instead of counting the block as failed and moving on.
 fn is_batch_fatal(e: &QkdError) -> bool {
@@ -140,10 +129,10 @@ fn is_batch_fatal(e: &QkdError) -> bool {
 /// One key block moving through the five distillation stages.
 ///
 /// The item owns everything its block needs — bits, a private RNG stream,
-/// intermediate products, and a [`SessionSummary`] delta — so the stages can
-/// run on different threads without sharing mutable state. The deliberate
-/// exception is the authentication key pool, which all blocks draw from in
-/// delivery order at the final stage.
+/// intermediate products, and a [`SessionSummary`] delta — so the first four
+/// stages of different blocks can run on different threads without sharing
+/// mutable state. The deliberate exception is the authentication key pool,
+/// which all blocks draw from in block order at the final stage.
 struct BlockInFlight {
     block: BlockId,
     method: ReconciliationMethod,
@@ -165,13 +154,9 @@ struct BlockInFlight {
     channel_usage: ChannelUsage,
     delta: SessionSummary,
     failure: Option<QkdError>,
-    /// The failure (if any) is one the sequential batch loop would propagate,
+    /// The failure (if any) is one the batch propagates to its caller,
     /// aborting the batch.
     fatal: bool,
-    /// The block never ran: an earlier block failed fatally, so the
-    /// sequential path would not have attempted it. Contributes nothing to
-    /// the session.
-    skipped: bool,
 }
 
 impl BlockInFlight {
@@ -208,18 +193,16 @@ impl BlockInFlight {
             delta,
             failure: None,
             fatal: false,
-            skipped: false,
         }
     }
 
-    /// Marks the block failed. `counted` mirrors which sequential failures
-    /// increment `blocks_failed` (threshold aborts, reconciliation /
-    /// amplification / authentication failures) and which propagate
-    /// uncounted (configuration errors).
+    /// Marks the block failed. `counted` says whether the failure
+    /// increments `blocks_failed` (threshold aborts, reconciliation /
+    /// amplification / authentication failures) or propagates uncounted
+    /// (configuration errors).
     fn fail(&mut self, e: QkdError, counted: bool) {
         if counted {
             self.delta.blocks_failed += 1;
-            engine_obs().blocks_failed.inc();
         }
         self.fatal = is_batch_fatal(&e);
         self.failure = Some(e);
@@ -227,19 +210,7 @@ impl BlockInFlight {
 
     /// `true` when a stage should pass the item through untouched.
     fn done(&self) -> bool {
-        self.failure.is_some() || self.skipped
-    }
-
-    /// Payload size used for pipeline bit accounting: sifted bits on the way
-    /// in, secret bits on the way out, nothing for dead blocks.
-    fn payload_bits(&self) -> usize {
-        if self.skipped || self.failure.is_some() {
-            0
-        } else if !self.secret_bits.is_empty() {
-            self.secret_bits.len()
-        } else {
-            self.alice.len()
-        }
+        self.failure.is_some()
     }
 
     /// Consumes the item into the block result (or its failure) plus the
@@ -273,14 +244,14 @@ impl BlockInFlight {
     }
 }
 
-/// Everything a distillation stage needs, cheaply cloneable into the stage
-/// worker threads of the pipelined path. The authenticator clone shares the
-/// engine's key pool and sequence counter.
-#[derive(Clone)]
+/// Everything a distillation stage needs. Shared by reference with the
+/// scoped threads of a batch wider than one; only [`StageContext::authenticate`]
+/// touches state that outlives the item (the key pool behind the
+/// authenticator), and it runs on the calling thread alone.
 struct StageContext {
-    config: Arc<PostProcessingConfig>,
-    ldpc: Arc<LdpcReconciler>,
-    cascade: Arc<CascadeReconciler>,
+    config: PostProcessingConfig,
+    ldpc: LdpcReconciler,
+    cascade: CascadeReconciler,
     amplifier: PrivacyAmplifier,
     authenticator: Authenticator,
 }
@@ -334,9 +305,8 @@ impl StageContext {
     }
 
     /// Stage 2 — information reconciliation (LDPC or Cascade). The caller
-    /// provides the long-lived LDPC scratch: the sequential path passes the
-    /// engine's, each pipelined shard's reconciliation worker owns one, and
-    /// fleet workers carry one across the links they service.
+    /// provides the long-lived LDPC scratch: the engine lends its own, fleet
+    /// workers carry one across the links they service.
     fn reconcile(&self, item: &mut BlockInFlight, scratch: &mut ReconcilerScratch) {
         if item.done() {
             return;
@@ -458,6 +428,16 @@ impl StageContext {
         }
     }
 
+    /// Stages 1–4 over one chunk of a batch, on one scratch.
+    fn distil_chunk(&self, items: &mut [BlockInFlight], scratch: &mut ReconcilerScratch) {
+        for item in items {
+            self.estimate(item);
+            self.reconcile(item, scratch);
+            self.verify(item);
+            self.amplify(item);
+        }
+    }
+
     /// Stage 5 — authentication of the block's classical messages, plus the
     /// success book-keeping into the item's summary delta.
     fn authenticate(&self, item: &mut BlockInFlight) {
@@ -487,7 +467,6 @@ impl StageContext {
         item.stage_times
             .push((StageLabel::Authentication, auth_host));
 
-        engine_obs().blocks_ok.inc();
         item.delta.blocks_ok += 1;
         item.delta.secret_bits_out += item.secret_bits.len() as u64;
         item.delta.disclosed_bits +=
@@ -496,60 +475,6 @@ impl StageContext {
         item.delta.processing_time += item.stage_times.iter().map(|(_, d)| *d).sum::<Duration>();
         item.delta.channel_usage.add(item.channel_usage);
     }
-}
-
-/// Runs one shard's items through a five-stage pipeline, one worker thread
-/// per stage. The authentication stage doubles as the batch-fatal gate: once
-/// a block fails with an error the sequential path would propagate, every
-/// later block in the shard is marked skipped so it touches neither the key
-/// pool nor the session summary — exactly the blocks a sequential run would
-/// never have attempted.
-fn run_shard(
-    ctx: StageContext,
-    items: Vec<BlockInFlight>,
-    capacity: usize,
-) -> Result<(Vec<BlockInFlight>, ThroughputReport)> {
-    let est = ctx.clone();
-    let rec = ctx.clone();
-    let ver = ctx.clone();
-    let amp = ctx.clone();
-    let mut poisoned = false;
-    let pipeline = Pipeline::new(capacity)
-        .with_bit_counter(BlockInFlight::payload_bits)
-        .add_fn("estimation", move |mut item: BlockInFlight| {
-            est.estimate(&mut item);
-            Ok(item)
-        })
-        .add_fn("reconciliation", {
-            // The shard's reconciliation worker owns one scratch for its
-            // whole lifetime: every block it decodes reuses the same arena.
-            let mut scratch = ReconcilerScratch::new();
-            move |mut item: BlockInFlight| {
-                rec.reconcile(&mut item, &mut scratch);
-                Ok(item)
-            }
-        })
-        .add_fn("verification", move |mut item: BlockInFlight| {
-            ver.verify(&mut item);
-            Ok(item)
-        })
-        .add_fn("privacy-amplification", move |mut item: BlockInFlight| {
-            amp.amplify(&mut item);
-            Ok(item)
-        })
-        .add_fn("authentication", move |mut item: BlockInFlight| {
-            if poisoned {
-                item.skipped = true;
-            } else {
-                ctx.authenticate(&mut item);
-                if item.fatal {
-                    poisoned = true;
-                }
-            }
-            Ok(item)
-        });
-    let report = pipeline.run(items)?;
-    Ok((report.items, report.throughput))
 }
 
 /// A batch of sifted bits framed into engine-sized blocks.
@@ -567,26 +492,23 @@ struct FramedBatch {
 /// detection batches, and consumes authentication key from its pool as blocks
 /// flow through.
 pub struct PostProcessor {
-    config: Arc<PostProcessingConfig>,
-    ldpc: Arc<LdpcReconciler>,
-    cascade: Arc<CascadeReconciler>,
-    amplifier: PrivacyAmplifier,
-    authenticator: Authenticator,
+    stages: StageContext,
     auth_pool: KeyPool,
     master_seed: u64,
     next_block: u64,
     summary: SessionSummary,
     carry: Option<(BitVec, BitVec)>,
-    /// Long-lived reconciliation scratch for the sequential path; reused
-    /// across every block and rate-ladder attempt of the session.
+    /// Long-lived reconciliation scratch the engine lends itself when the
+    /// caller brings none; reused across every block and rate-ladder attempt
+    /// of the session.
     scratch: ReconcilerScratch,
 }
 
 impl std::fmt::Debug for PostProcessor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PostProcessor")
-            .field("block_size", &self.config.block_size)
-            .field("reconciliation", &self.config.reconciliation)
+            .field("block_size", &self.stages.config.block_size)
+            .field("reconciliation", &self.stages.config.reconciliation)
             .field(
                 "blocks_processed",
                 &(self.summary.blocks_ok + self.summary.blocks_failed),
@@ -610,11 +532,13 @@ impl PostProcessor {
         let auth_pool = KeyPool::with_random_key(config.auth_pool_bits, seed ^ 0xA07);
         let authenticator = Authenticator::new(AuthConfig::default(), auth_pool.clone());
         Ok(Self {
-            config: Arc::new(config),
-            ldpc: Arc::new(ldpc),
-            cascade: Arc::new(cascade),
-            amplifier,
-            authenticator,
+            stages: StageContext {
+                config,
+                ldpc,
+                cascade,
+                amplifier,
+                authenticator,
+            },
             auth_pool,
             master_seed: seed,
             next_block: 0,
@@ -626,7 +550,7 @@ impl PostProcessor {
 
     /// The configuration in use.
     pub fn config(&self) -> &PostProcessingConfig {
-        &self.config
+        &self.stages.config
     }
 
     /// The running session summary.
@@ -659,25 +583,14 @@ impl PostProcessor {
         }
     }
 
-    fn stage_context(&self) -> StageContext {
-        StageContext {
-            config: Arc::clone(&self.config),
-            ldpc: Arc::clone(&self.ldpc),
-            cascade: Arc::clone(&self.cascade),
-            amplifier: self.amplifier,
-            authenticator: self.authenticator.clone(),
-        }
-    }
-
     /// Assigns the next block id and derives the block's private RNG stream
-    /// from the session seed — the same derivation regardless of which path
-    /// processes the block, which is what makes sequential and pipelined
-    /// outputs bit-identical.
+    /// from the session seed — a function of the seed and the id alone, which
+    /// is what makes the output independent of which thread runs the block.
     fn new_block_item(&mut self, alice: BitVec, bob: BitVec) -> BlockInFlight {
         let block = BlockId::new(0, self.next_block);
         self.next_block += 1;
         let rng = derive_block_rng(self.master_seed, "post-processor/block", block.as_u64());
-        BlockInFlight::new(block, self.config.reconciliation, alice, bob, rng)
+        BlockInFlight::new(block, self.stages.config.reconciliation, alice, bob, rng)
     }
 
     /// Sifts a detection batch, prepends the remainder carried over from the
@@ -694,7 +607,7 @@ impl PostProcessor {
         alice.extend_from(&sifted.alice_bits);
         bob.extend_from(&sifted.bob_bits);
 
-        let n = self.config.block_size;
+        let n = self.stages.config.block_size;
         let full = alice.len() / n;
         let mut blocks = Vec::with_capacity(full);
         for i in 0..full {
@@ -721,6 +634,67 @@ impl PostProcessor {
         FramedBatch { blocks, sift_share }
     }
 
+    /// The one batch body. Numbers the blocks, runs stages 1–4 over
+    /// `min(scratches.len(), blocks)` contiguous chunks — inline on the
+    /// caller for one chunk, else on scoped threads with the caller taking
+    /// the first — and then, on the calling thread in block order,
+    /// authenticates each block and merges it into the session.
+    ///
+    /// Returns one result per block attempted. A batch-fatal error is the
+    /// last entry: the pass stops there, the block counter rolls back to the
+    /// block after it, and the blocks behind it — computed speculatively at
+    /// widths above one, but never authenticated or merged — are written off
+    /// as [`SessionSummary::discarded_bits`]. The session therefore ends up in
+    /// the same state at every width.
+    fn distil(
+        &mut self,
+        blocks: Vec<(BitVec, BitVec)>,
+        scratches: &mut [ReconcilerScratch],
+    ) -> Vec<Result<BlockResult>> {
+        let mut items: Vec<BlockInFlight> = blocks
+            .into_iter()
+            .map(|(alice, bob)| self.new_block_item(alice, bob))
+            .collect();
+        let stages = &self.stages;
+        // One chunk per scratch (both callers hand in at least one), never
+        // more chunks than blocks; `chunks_mut` wants a positive size even
+        // for an empty batch.
+        let per_chunk = items.len().div_ceil(scratches.len().max(1)).max(1);
+        let mut chunks = items.chunks_mut(per_chunk).zip(scratches.iter_mut());
+        let own = chunks.next();
+        std::thread::scope(|s| {
+            for (chunk, scratch) in chunks {
+                s.spawn(move || stages.distil_chunk(chunk, scratch));
+            }
+            if let Some((chunk, scratch)) = own {
+                stages.distil_chunk(chunk, scratch);
+            }
+        });
+
+        let obs = engine_obs();
+        let mut results = Vec::with_capacity(items.len());
+        let mut items = items.into_iter();
+        for mut item in items.by_ref() {
+            self.stages.authenticate(&mut item);
+            let (sequence, fatal) = (item.block.sequence, item.fatal);
+            let (result, delta) = item.finish();
+            self.summary.merge(&delta);
+            obs.blocks_ok.add(delta.blocks_ok as u64);
+            obs.blocks_failed.add(delta.blocks_failed as u64);
+            results.push(result);
+            if fatal {
+                self.next_block = sequence + 1;
+                break;
+            }
+        }
+        for unattempted in items {
+            self.summary.discarded_bits += unattempted.delta.sifted_bits_in;
+            // Key distilled speculatively and never delivered.
+            drop(SecretBuf::from(unattempted.secret_bits));
+        }
+        results
+    }
+
     /// Processes a batch of detection events end to end: sifting, block
     /// framing, and per-block distillation. Returns the per-block results
     /// (failed blocks are recorded in the summary and skipped). Sifted bits
@@ -729,33 +703,48 @@ impl PostProcessor {
     ///
     /// # Errors
     ///
-    /// Propagates only configuration-level failures; per-block aborts are
-    /// counted, not returned.
+    /// Propagates only batch-fatal failures (configuration errors,
+    /// [`QkdError::AuthKeyExhausted`]); per-block aborts are counted, not
+    /// returned. A fatal error drops the batch: results of earlier blocks are
+    /// discarded after being charged to the summary, and the sifted bits of
+    /// the blocks behind the fatal one go to
+    /// [`SessionSummary::discarded_bits`].
     pub fn process_detections(&mut self, events: &[DetectionEvent]) -> Result<Vec<BlockResult>> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.process_detections_with_scratch(events, &mut scratch);
+        let result =
+            self.process_detections_with_scratch(events, std::slice::from_mut(&mut scratch));
         self.scratch = scratch;
         result
     }
 
     /// Processes a batch like [`PostProcessor::process_detections`], drawing
-    /// reconciliation working memory from a caller-owned scratch. Callers
-    /// that drive many engines from one thread — e.g. fleet workers serving
-    /// links round-robin — hold a single scratch across all of them instead
-    /// of warming one per engine.
+    /// reconciliation working memory from caller-owned scratches. The number
+    /// lent is the batch's width: with one, every stage runs on the calling
+    /// thread (what a fleet worker does, holding a single scratch across all
+    /// the links it serves); with `n`, stages 1–4 of the batch's blocks fan
+    /// out over up to `n` threads while authentication and the session
+    /// ledger stay on the caller, in block order. Keys, accounting, pool
+    /// position and block numbering are identical at every width.
     ///
     /// # Errors
     ///
-    /// See [`PostProcessor::process_detections`].
+    /// [`QkdError::InvalidParameter`] when `scratches` is empty (nothing is
+    /// consumed); otherwise see [`PostProcessor::process_detections`].
     pub fn process_detections_with_scratch(
         &mut self,
         events: &[DetectionEvent],
-        scratch: &mut ReconcilerScratch,
+        scratches: &mut [ReconcilerScratch],
     ) -> Result<Vec<BlockResult>> {
+        if scratches.is_empty() {
+            return Err(QkdError::invalid_parameter(
+                "scratches",
+                "a batch needs at least one reconciliation scratch",
+            ));
+        }
         let batch = self.frame_blocks(events);
-        let mut results = Vec::new();
-        for (alice, bob) in batch.blocks {
-            match self.process_owned_block_with(alice, bob, scratch) {
+        let mut results = Vec::with_capacity(batch.blocks.len());
+        for result in self.distil(batch.blocks, scratches) {
+            match result {
                 Ok(mut r) => {
                     // Attribute a proportional share of the sifting time.
                     r.stage_times
@@ -771,135 +760,7 @@ impl PostProcessor {
         Ok(results)
     }
 
-    /// Processes a batch of detection events like
-    /// [`PostProcessor::process_detections`], but overlaps the five
-    /// distillation stages across blocks on dedicated worker threads
-    /// ([`qkd_hetero::Pipeline`]) with bounded back-pressure, optionally
-    /// sharded into several parallel pipelines.
-    ///
-    /// Results and session accounting are bit-identical to the sequential
-    /// path: every block draws from its own RNG stream derived from the
-    /// session seed and block id, and summary deltas are accumulated
-    /// commutatively in block order.
-    ///
-    /// # Errors
-    ///
-    /// * [`QkdError::InvalidParameter`] when `options` are invalid.
-    /// * The same batch-fatal errors the sequential path propagates (e.g.
-    ///   [`QkdError::AuthKeyExhausted`]). At `shards = 1` the abort is in
-    ///   lockstep with the sequential path: blocks after the fatal one never
-    ///   run and are not charged. With `shards > 1`, blocks in other shards
-    ///   may already have completed past the fatal block; their results are
-    ///   discarded but their resource use (auth key, summary counters) is
-    ///   still charged, keeping the key ledger balanced.
-    /// * [`QkdError::PipelineStalled`] when a stage worker panics.
-    pub fn process_detections_pipelined(
-        &mut self,
-        events: &[DetectionEvent],
-        options: &PipelineOptions,
-    ) -> Result<PipelinedBatch> {
-        options.validate()?;
-        let batch = self.frame_blocks(events);
-        let run_start = Instant::now();
-        let ctx = self.stage_context();
-
-        let mut items = Vec::with_capacity(batch.blocks.len());
-        for (alice, bob) in batch.blocks {
-            items.push(self.new_block_item(alice, bob));
-        }
-
-        // Round-robin blocks across shards; order within a shard is block
-        // order, so each shard's auth-pool draws happen in block order too.
-        let shards = options.shards.clamp(1, items.len().max(1));
-        let mut shard_items: Vec<Vec<BlockInFlight>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            shard_items[i % shards].push(item);
-        }
-
-        let capacity = options.channel_capacity;
-        let handles: Vec<_> = shard_items
-            .into_iter()
-            .map(|shard| {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || run_shard(ctx, shard, capacity))
-            })
-            .collect();
-
-        let mut throughput = ThroughputReport::default();
-        let mut processed: Vec<BlockInFlight> = Vec::new();
-        let mut first_error: Option<QkdError> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok((items, report))) => {
-                    throughput.merge(&report);
-                    processed.extend(items);
-                }
-                Ok(Err(e)) => first_error = first_error.or(Some(e)),
-                Err(_) => {
-                    first_error =
-                        first_error.or(Some(QkdError::PipelineStalled { stage: "shard" }));
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        throughput.makespan = run_start.elapsed();
-
-        // Collect in block order, mirroring the sequential loop. Every block
-        // that actually ran is charged to the session — with shards > 1,
-        // blocks in other shards may have completed (and consumed
-        // authentication key) after the first fatal block, and dropping their
-        // deltas would unbalance the key ledger. Their results are still
-        // discarded, like the sequential path discards everything on a fatal.
-        processed.sort_by_key(|item| item.block.sequence);
-        let mut results = Vec::new();
-        let mut fatal: Option<(u64, QkdError)> = None;
-        let mut ran_after_fatal = false;
-        for item in processed {
-            if item.skipped {
-                continue;
-            }
-            if fatal.is_some() {
-                ran_after_fatal = true;
-            }
-            let sequence = item.block.sequence;
-            let (result, delta) = item.finish();
-            self.summary.merge(&delta);
-            match result {
-                Ok(mut r) if fatal.is_none() => {
-                    r.stage_times
-                        .insert(0, (StageLabel::Sifting, batch.sift_share));
-                    results.push(r);
-                }
-                Ok(_) => {}
-                Err(e) if !is_batch_fatal(&e) => {}
-                Err(e) => {
-                    if fatal.is_none() {
-                        fatal = Some((sequence, e));
-                    }
-                }
-            }
-        }
-        if let Some((sequence, e)) = fatal {
-            if !ran_after_fatal {
-                // Nothing ran past the fatal block (always the case at
-                // shards = 1, where the poison gate skips everything later):
-                // roll the block counter back so the next batch numbers
-                // blocks exactly as the sequential path would. When later
-                // blocks did run, they hold their ids and the counter stays
-                // where framing left it.
-                self.next_block = sequence + 1;
-            }
-            return Err(e);
-        }
-        Ok(PipelinedBatch {
-            results,
-            throughput,
-        })
-    }
-
-    /// Distils one sifted block (QBER estimation included).
+    /// Distils one sifted block (QBER estimation included): a batch of one.
     ///
     /// # Errors
     ///
@@ -916,36 +777,15 @@ impl PostProcessor {
                 actual: bob.len(),
             });
         }
-        self.process_owned_block(alice.clone(), bob.clone())
-    }
-
-    /// The sequential distillation path over owned, equal-length halves (the
-    /// batch loop hands its framed blocks straight in without re-cloning),
-    /// reusing the engine's own reconciliation scratch.
-    fn process_owned_block(&mut self, alice: BitVec, bob: BitVec) -> Result<BlockResult> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.process_owned_block_with(alice, bob, &mut scratch);
+        let result = self
+            .distil(
+                vec![(alice.clone(), bob.clone())],
+                std::slice::from_mut(&mut scratch),
+            )
+            .pop();
         self.scratch = scratch;
-        result
-    }
-
-    /// Sequential distillation with caller-provided reconciliation scratch.
-    fn process_owned_block_with(
-        &mut self,
-        alice: BitVec,
-        bob: BitVec,
-        scratch: &mut ReconcilerScratch,
-    ) -> Result<BlockResult> {
-        let ctx = self.stage_context();
-        let mut item = self.new_block_item(alice, bob);
-        ctx.estimate(&mut item);
-        ctx.reconcile(&mut item, scratch);
-        ctx.verify(&mut item);
-        ctx.amplify(&mut item);
-        ctx.authenticate(&mut item);
-        let (result, delta) = item.finish();
-        self.summary.merge(&delta);
-        result
+        result.unwrap_or(Err(QkdError::PipelineStalled { stage: "engine" }))
     }
 
     /// Theoretical secret fraction for this configuration at a given QBER
@@ -1191,128 +1031,210 @@ mod tests {
         );
     }
 
+    /// What a caller can observe of an engine after one batch, measured
+    /// times aside.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outcome: Result<Vec<BlockResult>>,
+        accounting: crate::SessionAccounting,
+        auth_key_remaining: usize,
+        pending_remainder_bits: usize,
+        next_block: u64,
+    }
+
+    /// Runs `batches` through a fresh engine, lending `width` scratches.
+    fn observe(
+        config: &PostProcessingConfig,
+        batches: &[Vec<DetectionEvent>],
+        width: usize,
+    ) -> Vec<Observed> {
+        let mut proc = PostProcessor::new(config.clone(), 29).unwrap();
+        let mut scratches: Vec<ReconcilerScratch> =
+            (0..width).map(|_| ReconcilerScratch::new()).collect();
+        batches
+            .iter()
+            .map(|events| {
+                let mut outcome = proc.process_detections_with_scratch(events, &mut scratches);
+                for r in outcome.iter_mut().flatten() {
+                    r.stage_times.clear();
+                }
+                Observed {
+                    outcome,
+                    accounting: proc.summary().accounting(),
+                    auth_key_remaining: proc.auth_key_remaining(),
+                    pending_remainder_bits: proc.pending_remainder_bits(),
+                    next_block: proc.next_block,
+                }
+            })
+            .collect()
+    }
+
+    fn sampled_config(block: usize) -> PostProcessingConfig {
+        let mut config = PostProcessingConfig::for_block_size(block);
+        config.sampling.sample_fraction = 0.2;
+        config
+    }
+
     #[test]
-    fn pipelined_path_matches_sequential_bit_for_bit() {
-        let mk = || {
-            let mut config = PostProcessingConfig::for_block_size(4096);
-            config.sampling.sample_fraction = 0.2;
-            PostProcessor::new(config, 29).unwrap()
-        };
-        let (alice, bob) = correlated_bits(3 * 4096 + 200, 0.012, 6);
-        let events = detection_events(&alice, &bob);
-
-        let mut seq = mk();
-        let seq_results = seq.process_detections(&events).unwrap();
-
-        for shards in [1usize, 2] {
-            let mut pipe = mk();
-            let options = PipelineOptions {
-                channel_capacity: 2,
-                shards,
-            };
-            let batch = pipe
-                .process_detections_pipelined(&events, &options)
-                .unwrap();
-            assert_eq!(batch.results.len(), seq_results.len());
-            for (s, p) in seq_results.iter().zip(&batch.results) {
-                assert_eq!(s.block, p.block);
-                assert_eq!(
-                    s.secret_key.bits, p.secret_key.bits,
-                    "keys must be bit-identical"
-                );
-                assert_eq!(s.qber, p.qber);
-                assert_eq!(s.reconciliation_leak, p.reconciliation_leak);
-                assert_eq!(s.verification_leak, p.verification_leak);
-                assert_eq!(s.estimation_disclosed, p.estimation_disclosed);
-                assert_eq!(s.corrected_errors, p.corrected_errors);
-                assert_eq!(s.auth_bits_consumed, p.auth_bits_consumed);
-                assert_eq!(s.channel_usage, p.channel_usage);
+    fn every_width_is_in_lockstep_with_width_one() {
+        for block in [2048usize, 4096, 8192] {
+            // Six blocks and a remainder; blocks 1 and 4 are noise and abort
+            // at estimation. A second batch shows where numbering resumes.
+            let mut rng = qkd_types::rng::derive_rng(block as u64, "engine-test-noise");
+            let (mut alice, mut bob) = (BitVec::new(), BitVec::new());
+            for i in 0..6u64 {
+                let (a, b) = if i == 1 || i == 4 {
+                    (
+                        BitVec::random(&mut rng, block),
+                        BitVec::random(&mut rng, block),
+                    )
+                } else {
+                    correlated_bits(block, 0.012, 60 + i)
+                };
+                alice.extend_from(&a);
+                bob.extend_from(&b);
             }
-            assert_eq!(seq.summary().accounting(), pipe.summary().accounting());
-            assert_eq!(seq.pending_remainder_bits(), pipe.pending_remainder_bits());
-            assert_eq!(seq.auth_key_remaining(), pipe.auth_key_remaining());
-            // The throughput report is fully populated.
-            assert_eq!(batch.throughput.items, 3);
-            assert_eq!(batch.throughput.input_bits, 3 * 4096);
-            assert!(batch.throughput.output_bits > 0);
-            assert_eq!(batch.throughput.stages.len(), 5);
-            assert!(batch.throughput.stages["reconciliation"].host_time > Duration::ZERO);
+            let (a_rest, b_rest) = correlated_bits(200, 0.012, 6);
+            alice.extend_from(&a_rest);
+            bob.extend_from(&b_rest);
+            let (a2, b2) = correlated_bits(2 * block, 0.012, 7);
+            let batches = [detection_events(&alice, &bob), detection_events(&a2, &b2)];
+
+            let config = sampled_config(block);
+            let reference = observe(&config, &batches, 1);
+            let first = &reference[0];
+            assert_eq!(first.accounting.blocks_failed, 2, "block {block}");
+            assert!(first.accounting.blocks_ok >= 3, "block {block}");
+            assert_eq!(first.next_block, 6);
+            let resumed = reference[1].outcome.as_ref().unwrap();
+            assert_eq!(resumed[0].block, BlockId::new(0, 6));
+
+            for width in 2..=8 {
+                assert_eq!(
+                    observe(&config, &batches, width),
+                    reference,
+                    "block {block}, width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pool_exhaustion_at_every_block_position_is_in_lockstep_at_every_width() {
+        for block in [2048usize, 4096, 8192] {
+            // A one-block batch, then the five-block batch the pool dies in.
+            let (a1, b1) = correlated_bits(block, 0.01, 8);
+            let (a2, b2) = correlated_bits(5 * block + 100, 0.01, 9);
+            let batches = [detection_events(&a1, &b1), detection_events(&a2, &b2)];
+
+            // What each block draws from a pool that never runs dry.
+            let mut config = sampled_config(block);
+            let honest = observe(&config, &batches, 1);
+            let draws: Vec<usize> = honest
+                .iter()
+                .flat_map(|o| o.outcome.as_ref().unwrap())
+                .map(|r| r.auth_bits_consumed)
+                .collect();
+            assert_eq!(draws.len(), 6, "block {block}: every block must distil");
+            let hash_key =
+                config.auth_pool_bits - honest[1].auth_key_remaining - draws.iter().sum::<usize>();
+
+            for position in 0..5usize {
+                // Enough for the first batch and `position` blocks of the
+                // second, then half a block's tags.
+                let covered: usize = draws.iter().take(1 + position).sum();
+                config.auth_pool_bits = hash_key + covered + draws[1 + position] / 2;
+                let reference = observe(&config, &batches, 1);
+                let dry = &reference[1];
+                assert!(
+                    matches!(dry.outcome, Err(QkdError::AuthKeyExhausted { .. })),
+                    "block {block}, position {position}: {:?}",
+                    dry.outcome
+                );
+                assert_eq!(dry.accounting.blocks_ok, 1 + position);
+                assert_eq!(dry.next_block, 2 + position as u64);
+                // Every sifted bit offered is consumed, carried or written off.
+                assert_eq!(
+                    dry.accounting.sifted_bits_in
+                        + dry.accounting.carried_bits
+                        + dry.accounting.discarded_bits,
+                    (6 * block + 100) as u64
+                );
+                for width in 2..=8 {
+                    assert_eq!(
+                        observe(&config, &batches, width),
+                        reference,
+                        "block {block}, position {position}, width {width}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn sharded_fatal_abort_keeps_the_key_ledger_balanced() {
-        // With shards > 1, blocks in another shard can complete after the
-        // fatal block; their results are discarded but their auth-key use
-        // must still be charged so the pool ledger balances.
+        // Blocks behind the fatal one were distilled on another thread, but
+        // never signed: every bit the pool gave out is a counted tag, the
+        // hash key, or the fatal block's partial draw.
         let pool_bits = 1536usize;
-        let mut config = PostProcessingConfig::for_block_size(4096);
-        config.sampling.sample_fraction = 0.2;
+        let mut config = sampled_config(4096);
         config.auth_pool_bits = pool_bits;
-        let mut pipe = PostProcessor::new(config, 31).unwrap();
+        let mut proc = PostProcessor::new(config, 31).unwrap();
         let (alice, bob) = correlated_bits(6 * 4096, 0.01, 7);
-        let events = detection_events(&alice, &bob);
-        let options = PipelineOptions {
-            channel_capacity: 2,
-            shards: 2,
-        };
-        let err = pipe
-            .process_detections_pipelined(&events, &options)
+        let mut scratches = [ReconcilerScratch::new(), ReconcilerScratch::new()];
+        let err = proc
+            .process_detections_with_scratch(&detection_events(&alice, &bob), &mut scratches)
             .unwrap_err();
         assert!(matches!(err, QkdError::AuthKeyExhausted { .. }));
-        // Pool consumption = 128-bit hash key + every counted tag + partial
-        // draws of the failing blocks (fewer than one block's 5-message
-        // budget per shard).
-        let consumed = pool_bits - pipe.auth_key_remaining();
-        let counted = pipe.summary().auth_bits_consumed as usize;
+        let consumed = pool_bits - proc.auth_key_remaining();
+        let counted = proc.summary().auth_bits_consumed as usize;
         assert!(
             consumed >= counted + 128,
             "consumed {consumed} must cover hash key + counted {counted}"
         );
         assert!(
-            consumed - counted - 128 <= 2 * 5 * 128,
-            "untracked pool draws beyond partial failing blocks: consumed {consumed}, counted {counted}"
+            consumed - counted - 128 < 5 * 128,
+            "pool draws beyond one partial block: consumed {consumed}, counted {counted}"
         );
     }
 
     #[test]
-    fn pipelined_fatal_error_drains_cleanly_and_matches_sequential() {
-        let mk = || {
-            let mut config = PostProcessingConfig::for_block_size(4096);
-            config.sampling.sample_fraction = 0.2;
-            config.auth_pool_bits = 1536; // exhausts after a couple of blocks
-            PostProcessor::new(config, 31).unwrap()
-        };
-        let (alice, bob) = correlated_bits(6 * 4096, 0.01, 7);
-        let events = detection_events(&alice, &bob);
-
-        let mut seq = mk();
-        let seq_err = seq.process_detections(&events).unwrap_err();
-        assert!(matches!(seq_err, QkdError::AuthKeyExhausted { .. }));
-
-        // shards = 1 keeps auth-pool draws in block order, so the pipelined
-        // run must abort on the same block with the same pool state — and it
-        // must drain rather than deadlock.
-        let mut pipe = mk();
-        let pipe_err = pipe
-            .process_detections_pipelined(&events, &PipelineOptions::default())
+    fn sifted_bits_stay_on_the_ledger_when_a_batch_aborts() {
+        // Regression: blocks framed behind a batch-fatal one used to vanish —
+        // cut out of the carry, never attempted, counted nowhere.
+        let mut config = sampled_config(4096);
+        config.auth_pool_bits = 1536; // dry after a couple of blocks
+        let mut proc = PostProcessor::new(config, 31).unwrap();
+        let (alice, bob) = correlated_bits(6 * 4096 + 300, 0.01, 7);
+        let err = proc
+            .process_detections(&detection_events(&alice, &bob))
             .unwrap_err();
-        assert_eq!(seq_err, pipe_err);
-        assert_eq!(seq.summary().accounting(), pipe.summary().accounting());
-        assert_eq!(seq.auth_key_remaining(), pipe.auth_key_remaining());
+        assert!(matches!(err, QkdError::AuthKeyExhausted { .. }));
+        let s = proc.summary();
+        assert!(s.discarded_bits > 0 && s.discarded_bits % 4096 == 0);
+        assert_eq!(s.carried_bits, 300);
+        assert_eq!(
+            s.sifted_bits_in + s.carried_bits + s.discarded_bits,
+            6 * 4096 + 300
+        );
+        // The engine numbers the next batch from the block after the fatal one.
+        assert_eq!(proc.next_block, (s.blocks_ok + s.blocks_failed) as u64);
+    }
 
-        // Both engines keep working identically after the failed batch.
-        let (a2, b2) = correlated_bits(4096, 0.01, 8);
-        let ev2 = detection_events(&a2, &b2);
-        let r_seq = seq.process_detections(&ev2);
-        let r_pipe = pipe.process_detections_pipelined(&ev2, &PipelineOptions::default());
-        match (r_seq, r_pipe) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.results.len());
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("paths diverged after fatal batch: {a:?} vs {b:?}"),
-        }
-        assert_eq!(seq.summary().accounting(), pipe.summary().accounting());
+    #[test]
+    fn a_batch_without_a_scratch_is_refused_before_anything_is_consumed() {
+        let mut proc = PostProcessor::new(sampled_config(4096), 37).unwrap();
+        let (alice, bob) = correlated_bits(4096 + 10, 0.01, 10);
+        let events = detection_events(&alice, &bob);
+        assert!(matches!(
+            proc.process_detections_with_scratch(&events, &mut []),
+            Err(QkdError::InvalidParameter { .. })
+        ));
+        assert_eq!(
+            proc.summary().accounting(),
+            SessionSummary::default().accounting()
+        );
+        assert_eq!(proc.pending_remainder_bits(), 0);
+        assert_eq!(proc.process_detections(&events).unwrap().len(), 1);
     }
 }

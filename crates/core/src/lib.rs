@@ -12,9 +12,10 @@
 //! * [`channel`] — classical-channel model (RTT, bandwidth, traffic counters)
 //!   used to convert protocol interactivity into time;
 //! * [`verification`] — post-reconciliation error verification;
-//! * [`engine`] — the block processor and session accounting, with both a
-//!   sequential batch path and a pipelined one that overlaps the stages
-//!   across blocks on worker threads (bit-identical results);
+//! * [`engine`] — the block processor and session accounting: one batch
+//!   body whose width is the number of reconciliation scratches the caller
+//!   lends (blocks fan out, authentication stays in block order, results
+//!   are bit-identical at every width);
 //! * [`metrics`] — session summaries and secret-key-rate computation.
 //!
 //! # Example
@@ -41,13 +42,13 @@ pub mod metrics;
 pub mod verification;
 
 pub use channel::{ChannelModel, ChannelUsage};
-pub use config::{PipelineOptions, PostProcessingConfig, ReconciliationMethod};
-pub use engine::{BlockResult, PipelinedBatch, PostProcessor};
+pub use config::{PostProcessingConfig, ReconciliationMethod};
+pub use engine::{BlockResult, PostProcessor};
 pub use metrics::{SessionAccounting, SessionSummary};
 pub use verification::{verify_keys, VerificationConfig, VerificationOutcome};
 
-// Re-exported so callers of the pipelined path can consume its throughput
-// report without depending on `qkd-hetero` directly.
+// Re-exported so callers that fold `BlockResult::stage_times` into a
+// per-stage report need not depend on `qkd-hetero` directly.
 pub use qkd_hetero::ThroughputReport;
 
 // Re-exported so callers that drive engines from their own worker threads

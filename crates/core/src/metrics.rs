@@ -24,8 +24,9 @@ pub struct SessionSummary {
     /// Sifted bits currently buffered as a partial-block remainder, waiting
     /// for the next detection batch (a gauge, not a running total).
     pub carried_bits: u64,
-    /// Sifted bits permanently dropped without entering a block (e.g. a
-    /// remainder explicitly discarded at session end).
+    /// Sifted bits permanently dropped without entering a block: a remainder
+    /// explicitly discarded at session end, or the blocks framed behind a
+    /// batch-fatal one, which are never attempted.
     pub discarded_bits: u64,
     /// Total host-measured processing time (sum over stages and blocks).
     pub processing_time: Duration,
@@ -36,7 +37,7 @@ pub struct SessionSummary {
 /// The order-independent subset of a [`SessionSummary`]: every counter that is
 /// fully determined by the input data and the session seed, excluding the
 /// measured wall-clock quantities. Two runs that distilled the same blocks —
-/// sequentially or pipelined — must produce equal accounting snapshots.
+/// at whatever batch width — must produce equal accounting snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionAccounting {
     /// Blocks successfully distilled.
@@ -65,9 +66,9 @@ pub struct SessionAccounting {
 
 impl SessionSummary {
     /// Adds another summary (or a per-block delta) into this one. Addition is
-    /// commutative, so accumulating per-block deltas in any order — the
-    /// property the pipelined engine path relies on — yields the same totals
-    /// as sequential accumulation. `carried_bits` is a gauge owned by the
+    /// commutative, so merging per-link summaries into a fleet total gives
+    /// the same result in any order (the engine itself merges its per-block
+    /// deltas in block order). `carried_bits` is a gauge owned by the
     /// engine's batch framing, not a per-block quantity, and is summed like
     /// the rest (per-block deltas always carry zero).
     pub fn merge(&mut self, delta: &SessionSummary) {

@@ -26,9 +26,7 @@
 //! would this kernel be cheapest, and what would it cost there": the
 //! online-[`calibrate`]d cost models decide a link's CPU / decode-only /
 //! whole-link split and convert host-measured stage time into modeled time
-//! with the same prediction — and the [`pipeline`] executor (bounded-channel
-//! stage pipeline with back-pressure and per-stage utilisation metrics).
-//! Measured and modeled time stay separate columns
+//! with the same prediction. Measured and modeled time stay separate columns
 //! ([`StageMetrics::host_time`] / [`StageMetrics::modeled_time`]); nothing
 //! here changes what the engine executes.
 
@@ -39,7 +37,6 @@ pub mod calibrate;
 pub mod cost;
 pub mod device;
 pub mod kernel;
-pub mod pipeline;
 pub mod placement;
 pub mod profiler;
 
@@ -47,6 +44,5 @@ pub use calibrate::{kernel_for_stage, CostCalibrator};
 pub use cost::{planned_work_units, CostModel};
 pub use device::{CpuDevice, Device, DeviceKind, SimFpga, SimGpu};
 pub use kernel::{KernelKind, KernelResult, KernelTask};
-pub use pipeline::{Pipeline, PipelineReport, Stage};
 pub use placement::{decide_placement, modeled_time, LinkPlacement};
 pub use profiler::{StageMetrics, ThroughputReport};

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-/// Accumulated metrics of one pipeline stage or kernel kind.
+/// Accumulated metrics of one distillation stage or kernel kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageMetrics {
     /// Number of recorded batches (one per [`StageMetrics::record`] call).
@@ -23,11 +23,6 @@ pub struct StageMetrics {
     pub bits_in: u64,
     /// Total output bits produced.
     pub bits_out: u64,
-    /// Total time the stage spent blocked on its queues (waiting for an
-    /// upstream item or for downstream back-pressure to clear) rather than
-    /// processing. Kept separate from `host_time` so utilisation reflects
-    /// actual busy time.
-    pub blocked_time: Duration,
 }
 
 impl StageMetrics {
@@ -53,11 +48,6 @@ impl StageMetrics {
         self.bits_out += bits_out as u64;
     }
 
-    /// Records time spent blocked on a queue (recv or back-pressured send).
-    pub fn record_blocked(&mut self, blocked: Duration) {
-        self.blocked_time += blocked;
-    }
-
     /// Merges another metrics record into this one.
     pub fn merge(&mut self, other: &StageMetrics) {
         self.count += other.count;
@@ -66,7 +56,6 @@ impl StageMetrics {
         self.host_time += other.host_time;
         self.bits_in += other.bits_in;
         self.bits_out += other.bits_out;
-        self.blocked_time += other.blocked_time;
     }
 
     /// Average host milliseconds per logical item; `None` until at least one
@@ -107,7 +96,7 @@ pub struct ThroughputReport {
     pub stages: BTreeMap<String, StageMetrics>,
     /// End-to-end wall-clock time of the run.
     pub makespan: Duration,
-    /// Total items that flowed through the pipeline.
+    /// Total items (blocks) the report covers.
     pub items: usize,
     /// Total input bits ingested at the first stage.
     pub input_bits: u64,
@@ -117,8 +106,8 @@ pub struct ThroughputReport {
 
 impl ThroughputReport {
     /// Merges another report into this one: stages are summed by name, the
-    /// makespan takes the maximum (reports from concurrent shards overlap in
-    /// time), and item/bit totals add up.
+    /// makespan takes the maximum (reports of links served concurrently
+    /// overlap in time), and item/bit totals add up.
     pub fn merge(&mut self, other: &ThroughputReport) {
         for (name, metrics) in &other.stages {
             self.record_stage(name, *metrics);
@@ -156,88 +145,20 @@ impl ThroughputReport {
         }
     }
 
-    /// Items per second of makespan (block throughput for a block pipeline).
-    pub fn items_per_sec(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.items as f64 / secs
-        }
-    }
-
-    /// Fraction of the makespan a stage spent blocked on its queues.
-    pub fn wait_fraction(&self, stage: &str) -> f64 {
-        let makespan = self.makespan.as_secs_f64();
-        if makespan <= 0.0 {
-            return 0.0;
-        }
-        self.stages
-            .get(stage)
-            .map(|m| m.blocked_time.as_secs_f64() / makespan)
-            .unwrap_or(0.0)
-    }
-
-    /// Ideal pipeline speedup over sequential execution of the same stages:
-    /// total busy time across stages divided by the busiest stage's busy time.
-    /// This is the throughput bound a perfectly overlapped pipeline converges
-    /// to; the measured speedup approaches it as core count allows.
-    pub fn stage_overlap_bound(&self) -> f64 {
-        let total: f64 = self
-            .stages
-            .values()
-            .map(|m| m.host_time.as_secs_f64())
-            .sum();
-        let max = self
-            .stages
-            .values()
-            .map(|m| m.host_time.as_secs_f64())
-            .fold(0.0f64, f64::max);
-        if max <= 0.0 {
-            1.0
-        } else {
-            total / max
-        }
-    }
-
-    /// Utilisation of a stage: busy time over makespan (can exceed 1.0 when a
-    /// stage runs multiple workers).
-    pub fn utilisation(&self, stage: &str) -> f64 {
-        let makespan = self.makespan.as_secs_f64();
-        if makespan <= 0.0 {
-            return 0.0;
-        }
-        self.stages
-            .get(stage)
-            .map(|m| m.host_time.as_secs_f64() / makespan)
-            .unwrap_or(0.0)
-    }
-
-    /// The stage with the largest modeled busy time (the bottleneck).
-    pub fn bottleneck(&self) -> Option<(&str, &StageMetrics)> {
-        self.stages
-            .iter()
-            .max_by(|a, b| a.1.modeled_time.cmp(&b.1.modeled_time))
-            .map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Renders the report as an aligned text table.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<24} {:>10} {:>14} {:>14} {:>14} {:>8} {:>8}\n",
-            "stage", "items", "busy (ms)", "wait (ms)", "Mbit/s", "util", "wait"
+            "{:<24} {:>10} {:>14} {:>14}\n",
+            "stage", "items", "busy (ms)", "Mbit/s"
         ));
         for (name, m) in &self.stages {
             out.push_str(&format!(
-                "{:<24} {:>10} {:>14.2} {:>14.2} {:>14.2} {:>8.2} {:>8.2}\n",
+                "{:<24} {:>10} {:>14.2} {:>14.2}\n",
                 name,
                 m.count,
                 m.modeled_time.as_secs_f64() * 1e3,
-                m.blocked_time.as_secs_f64() * 1e3,
                 m.throughput_bps() / 1e6,
-                self.utilisation(name),
-                self.wait_fraction(name),
             ));
         }
         out.push_str(&format!(
@@ -282,11 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn report_identifies_bottleneck_and_utilisation() {
+    fn report_computes_rates_and_renders_every_stage() {
         let mut report = ThroughputReport {
             makespan: Duration::from_secs(1),
             items: 10,
             input_bits: 1_000_000,
+            output_bits: 400_000,
             ..Default::default()
         };
         let mut fast = StageMetrics::default();
@@ -305,39 +227,11 @@ mod tests {
         );
         report.record_stage("sifting", fast);
         report.record_stage("reconciliation", slow);
-        let (name, _) = report.bottleneck().unwrap();
-        assert_eq!(name, "reconciliation");
-        assert!((report.utilisation("reconciliation") - 0.8).abs() < 1e-9);
         assert!((report.end_to_end_bps() - 1e6).abs() < 1e-3);
+        assert!((report.output_bps() - 4e5).abs() < 1e-3);
         let table = report.to_table();
-        assert!(table.contains("reconciliation"));
+        assert!(table.contains("sifting") && table.contains("reconciliation"));
         assert!(table.contains("end-to-end"));
-    }
-
-    #[test]
-    fn blocked_time_is_tracked_separately_from_busy_time() {
-        let mut m = StageMetrics::default();
-        m.record(Duration::from_millis(4), Duration::from_millis(4), 100, 80);
-        m.record_blocked(Duration::from_millis(6));
-        assert_eq!(m.host_time, Duration::from_millis(4));
-        assert_eq!(m.blocked_time, Duration::from_millis(6));
-        let mut other = StageMetrics::default();
-        other.record_blocked(Duration::from_millis(1));
-        m.merge(&other);
-        assert_eq!(m.blocked_time, Duration::from_millis(7));
-
-        let mut report = ThroughputReport {
-            makespan: Duration::from_millis(10),
-            items: 1,
-            input_bits: 100,
-            output_bits: 80,
-            ..Default::default()
-        };
-        report.record_stage("s", m);
-        assert!((report.utilisation("s") - 0.4).abs() < 1e-9);
-        assert!((report.wait_fraction("s") - 0.7).abs() < 1e-9);
-        assert!((report.output_bps() - 8_000.0).abs() < 1e-6);
-        assert!((report.items_per_sec() - 100.0).abs() < 1e-6);
     }
 
     #[test]
@@ -371,19 +265,6 @@ mod tests {
         assert_eq!(a.output_bits, 300);
         assert_eq!(a.stages["pa"].count, 2);
         assert_eq!(a.stages["pa"].bits_in, 600);
-    }
-
-    #[test]
-    fn stage_overlap_bound_reflects_imbalance() {
-        let mut report = ThroughputReport::default();
-        let mut fast = StageMetrics::default();
-        fast.record(Duration::from_millis(2), Duration::from_millis(2), 0, 0);
-        let mut slow = StageMetrics::default();
-        slow.record(Duration::from_millis(8), Duration::from_millis(8), 0, 0);
-        report.record_stage("fast", fast);
-        report.record_stage("slow", slow);
-        assert!((report.stage_overlap_bound() - 1.25).abs() < 1e-9);
-        assert_eq!(ThroughputReport::default().stage_overlap_bound(), 1.0);
     }
 
     #[test]
@@ -434,7 +315,6 @@ mod tests {
                 host_time: Duration::from_micros(micros / 2),
                 bits_in,
                 bits_out,
-                blocked_time: Duration::from_micros(micros / 4),
             }
         }
 
@@ -508,9 +388,9 @@ mod tests {
                             + b.stages.get(name).map_or(Duration::ZERO, |m| m.modeled_time)
                     );
                     prop_assert_eq!(
-                        got.map_or(Duration::ZERO, |m| m.blocked_time),
-                        a.stages.get(name).map_or(Duration::ZERO, |m| m.blocked_time)
-                            + b.stages.get(name).map_or(Duration::ZERO, |m| m.blocked_time)
+                        got.map_or(Duration::ZERO, |m| m.host_time),
+                        a.stages.get(name).map_or(Duration::ZERO, |m| m.host_time)
+                            + b.stages.get(name).map_or(Duration::ZERO, |m| m.host_time)
                     );
                 }
             }

@@ -20,6 +20,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/api/src/http.rs",
     "crates/api/src/router.rs",
     "crates/api/src/server.rs",
+    "crates/core/src/engine.rs",
     "crates/hetero/src/placement.rs",
     "crates/journal/src/frame.rs",
     "crates/journal/src/journal.rs",

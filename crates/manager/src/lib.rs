@@ -14,8 +14,10 @@
 //!   default, FIFO round-robin as baseline), accounts each batch's modeled
 //!   time on the backend the online-calibrated cost models predict cheapest
 //!   ([`qkd_hetero::decide_placement`]) next to the host time the engine
-//!   measured, autoscales opted-in hot links onto pipeline shards, and
-//!   applies per-link backlog admission control to bursty epoch arrivals;
+//!   measured, and applies per-link backlog admission control to bursty
+//!   epoch arrivals. The pool's `workers` is the one bound on distillation
+//!   threads: a worker serves one link batch at a time, so the fleet's
+//!   parallelism is across links;
 //! * [`KeyStore`] — ETSI GS QKD 014-shaped delivery: `status(link)` and
 //!   `get_key(link, n_bits)` with [`KeyId`]-tagged keys, strict
 //!   deliver-at-most-once draining and a ledger reconciled bit-for-bit

@@ -18,9 +18,13 @@
 //! cheapest — whole-link on a simulated accelerator, decode-only offload, or
 //! host CPU. The engine runs the same code on the host either way; the
 //! decision only sets what [`StageMetrics::modeled_time`] records next to
-//! the measured [`StageMetrics::host_time`]. Hot links with `max_shards > 1`
-//! additionally autoscale onto the pipelined batch path when the pool has
-//! spare workers and their backlog is deep.
+//! the measured [`StageMetrics::host_time`].
+//!
+//! **The unit of parallelism is the link batch.** [`FleetConfig::workers`] is
+//! the one bound on distillation threads: each worker serves one batch of one
+//! link at a time on its own reconciliation scratch (width 1 of
+//! [`PostProcessor::process_detections_with_scratch`]), so the fleet uses
+//! several cores by serving several links, never by fanning one batch out.
 //!
 //! **Determinism invariant.** A link's batches are processed in submission
 //! order by exactly one worker at a time, and every engine draws only from
@@ -36,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use qkd_core::{BlockResult, PipelineOptions, PostProcessor, ReconcilerScratch, SessionSummary};
+use qkd_core::{BlockResult, PostProcessor, ReconcilerScratch, SessionSummary};
 use qkd_hetero::{
     decide_placement, CostCalibrator, KernelKind, LinkPlacement, StageMetrics, ThroughputReport,
 };
@@ -45,7 +49,7 @@ use qkd_types::frame::StageLabel;
 use qkd_types::{BitVec, DetectionEvent, QkdError, Result};
 
 use crate::report::{FleetLedger, FleetReport, LinkLedger, LinkReport};
-use crate::sched::{Dispatch, ReadyQueue};
+use crate::sched::ReadyQueue;
 use crate::spec::{Admission, AdmissionPolicy, FleetConfig, LinkSpec};
 use crate::store::{KeyStore, RecoveredBudget};
 
@@ -89,7 +93,6 @@ struct SchedObs {
     fleet: String,
     vtime_lag: qkd_obs::Gauge,
     placement_changes: qkd_obs::Counter,
-    shard_scale_events: qkd_obs::Counter,
 }
 
 impl SchedObs {
@@ -100,7 +103,6 @@ impl SchedObs {
             fleet: fleet.to_string(),
             vtime_lag: obs.gauge("qkd_sched_vtime_lag_seconds", &labels),
             placement_changes: obs.counter("qkd_sched_placement_changes_total", &labels),
-            shard_scale_events: obs.counter("qkd_sched_shard_scale_events_total", &labels),
         }
     }
 
@@ -131,10 +133,6 @@ struct LinkCell {
     failed: Option<QkdError>,
     /// Where the scheduler last placed this link's offloadable kernels.
     placement: LinkPlacement,
-    /// Pipeline shards the last dispatch ran with (1 = sequential path).
-    shards: usize,
-    /// Most shards any dispatch of this link ran with.
-    shards_peak: usize,
     obs: LinkObs,
 }
 
@@ -376,8 +374,6 @@ impl LinkManager {
                 batches_dropped: 0,
                 failed: None,
                 placement: LinkPlacement::Cpu,
-                shards: 1,
-                shards_peak: 1,
                 obs: LinkObs::new(&self.fleet, link),
             }),
         });
@@ -528,12 +524,7 @@ impl LinkManager {
     /// Per-link failures are recorded in the report, not returned.
     pub fn run(&mut self) -> Result<FleetReport> {
         let weights = self.links.iter().map(|r| r.spec.weight).collect();
-        let queue = ReadyQueue::new(
-            self.config.policy,
-            self.config.workers,
-            self.config.batch_budget,
-            weights,
-        );
+        let queue = ReadyQueue::new(self.config.policy, self.config.batch_budget, weights);
         for (link, runtime) in self.links.iter().enumerate() {
             let cell = runtime.cell.lock();
             if cell.failed.is_none() {
@@ -579,7 +570,7 @@ impl LinkManager {
     /// across every link it services — per-block decode setup is paid once
     /// per worker, not once per block, link or `run()`.
     fn worker(&self, queue: &ReadyQueue, scratch: &mut ReconcilerScratch) {
-        while let Some(Dispatch { link, shard_cap }) = queue.next() {
+        while let Some(link) = queue.next() {
             let (service_secs, completed, requeue) = {
                 let mut cell = self.links[link].cell.lock();
                 let spec = &self.links[link].spec;
@@ -597,26 +588,10 @@ impl LinkManager {
                 }
                 self.sched_obs.batch(&placement.label());
 
-                // Shard autoscaling: opt-in links fan out onto the pipelined
-                // path when the pool has spare workers and their backlog is
-                // deep; contended pools keep everyone sequential.
-                let autoscaled = PipelineOptions::for_backlog(cell.pending.len(), shard_cap);
-                let shards = autoscaled.shards.min(spec.max_shards).max(1);
-                if shards != cell.shards {
-                    cell.shards = shards;
-                    self.sched_obs.shard_scale_events.inc();
-                }
-                cell.shards_peak = cell.shards_peak.max(shards);
-
                 let batch_start = Instant::now();
-                let outcome = if shards > 1 {
-                    cell.processor
-                        .process_detections_pipelined(&events, &autoscaled.with_shards(shards))
-                        .map(|batch| batch.results)
-                } else {
-                    cell.processor
-                        .process_detections_with_scratch(&events, scratch)
-                };
+                let outcome = cell
+                    .processor
+                    .process_detections_with_scratch(&events, std::slice::from_mut(scratch));
                 let elapsed = batch_start.elapsed();
                 cell.busy += elapsed;
                 cell.batches_processed += 1;
@@ -703,7 +678,6 @@ impl LinkManager {
                 busy: cell.busy,
                 weight: runtime.spec.weight,
                 placement: cell.placement.label(),
-                shards: cell.shards_peak,
                 failure: cell.failed.as_ref().map(|e| e.to_string()),
             });
         }
@@ -956,6 +930,13 @@ mod tests {
         let bad_report = &report.links[bad_id];
         assert!(bad_report.failure.is_some(), "tiny pool must exhaust");
         assert!(mgr.link_failure(bad_id).unwrap().is_some());
+        // Every sifted bit the engine was handed is on its ledger: consumed
+        // by an attempted block, carried, or written off behind the fatal one.
+        let ledger = &bad_report.summary;
+        assert_eq!(
+            ledger.sifted_bits_in + ledger.carried_bits + ledger.discarded_bits,
+            bad_report.batches_processed * 2 * 4096
+        );
         let good_report = &report.links[good_id];
         assert!(good_report.failure.is_none());
         assert_eq!(good_report.summary.blocks_ok, 6);
@@ -1164,40 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_link_autoscales_onto_pipeline_shards() {
-        // A lone backlogged link on a two-worker pool has spare capacity:
-        // with `max_shards > 1` it fans out onto the pipelined path (the
-        // shard cap is computed under the queue lock, so this is
-        // deterministic), and its keys still match the sequential solo
-        // replay bit for bit.
-        let mut mgr =
-            LinkManager::new(FleetConfig::default().with_workers(2).with_max_backlog(16)).unwrap();
-        let spec = LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 91).with_max_shards(4);
-        let link = mgr.add_link(spec.clone()).unwrap();
-        for _ in 0..8 {
-            assert!(mgr.submit_epoch(link, 2).unwrap().accepted());
-        }
-        let report = mgr.run().unwrap();
-        assert_eq!(report.links[link].batches_processed, 8);
-        assert!(
-            report.links[link].shards >= 2,
-            "the lone hot link must have fanned out, got {}",
-            report.links[link].shards
-        );
-        let (solo, expected) = replay_solo(&spec, &[2; 8]);
-        assert_eq!(
-            mgr.store().get_key(link, expected.len()).unwrap().bits,
-            expected,
-            "pipelined shards must stay bit-identical"
-        );
-        assert_eq!(
-            mgr.summary(link).unwrap().accounting(),
-            solo.summary().accounting()
-        );
-        mgr.reconcile().unwrap();
-    }
-
-    #[test]
     fn unknown_links_are_rejected_everywhere() {
         let mut mgr = manager(1, 1);
         assert!(mgr.submit_epoch(0, 1).is_err());
@@ -1221,14 +1168,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(5))]
             /// The fleet invariant quantified over the whole scheduling
-            /// space: for any queueing policy, shard opt-in and dispatch
-            /// budget, every link's keys are bit-identical to its solo
-            /// replay and the store ledger reconciles.
+            /// space: for any queueing policy and dispatch budget, every
+            /// link's keys are bit-identical to its solo replay and the
+            /// store ledger reconciles.
             #[test]
             fn every_policy_mix_is_solo_equivalent_and_reconciles(
                 seed in 0u64..1_000_000,
                 policy_idx in 0usize..2,
-                sharded in 0usize..2,
                 budget_idx in 0usize..3,
             ) {
                 let policy = [SchedPolicy::Fifo, SchedPolicy::Wfq][policy_idx];
@@ -1250,8 +1196,7 @@ mod tests {
                 let mut sizes: Vec<Vec<usize>> = Vec::new();
                 for (i, preset) in presets.iter().enumerate() {
                     let spec = LinkSpec::from_preset(*preset, 4096, seed.wrapping_add(i as u64))
-                        .with_weight([4.0, 1.0, 2.0][i])
-                        .with_max_shards(if sharded == 1 && i == 0 { 2 } else { 1 });
+                        .with_weight([4.0, 1.0, 2.0][i]);
                     mgr.add_link(spec.clone()).unwrap();
                     specs.push(spec);
                     sizes.push(Vec::new());
@@ -1282,7 +1227,7 @@ mod tests {
                         let got = mgr.store().get_key(link, expected.len()).unwrap();
                         assert_eq!(
                             got.bits, expected,
-                            "{policy:?}/shards={sharded}/budget={budget:?} diverged from solo"
+                            "{policy:?}/budget={budget:?} diverged from solo"
                         );
                     }
                     assert_eq!(

@@ -60,9 +60,6 @@ pub struct LinkReport {
     /// Where the scheduler last placed this link's offloadable kernels
     /// (`cpu`, `whole:sim-gpu`, `decode:sim-fpga`, …).
     pub placement: String,
-    /// Most pipeline shards any dispatch of this link ran with (1 = the
-    /// link never left the sequential path).
-    pub shards: usize,
     /// Fatal failure that stopped the link, if any (display form).
     pub failure: Option<String>,
 }
@@ -202,13 +199,12 @@ impl FleetReport {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<6} {:<10} {:>7} {:>6} {:<14} {:>6} {:>8} {:>8} {:>12} {:>12} {:>10}\n",
+            "{:<6} {:<10} {:>7} {:>6} {:<14} {:>8} {:>8} {:>12} {:>12} {:>10}\n",
             "link",
             "label",
             "QBER%",
             "wt",
             "placement",
-            "shards",
             "ok",
             "failed",
             "secret bits",
@@ -217,13 +213,12 @@ impl FleetReport {
         ));
         for l in &self.links {
             out.push_str(&format!(
-                "{:<6} {:<10} {:>7.2} {:>6.1} {:<14} {:>6} {:>8} {:>8} {:>12} {:>12.2} {:>10.1}\n",
+                "{:<6} {:<10} {:>7.2} {:>6.1} {:<14} {:>8} {:>8} {:>12} {:>12.2} {:>10.1}\n",
                 l.link,
                 l.label,
                 l.qber * 100.0,
                 l.weight,
                 l.placement,
-                l.shards,
                 l.summary.blocks_ok,
                 l.summary.blocks_failed,
                 l.summary.secret_bits_out,

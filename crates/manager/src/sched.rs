@@ -15,6 +15,10 @@
 //! asks [`qkd_hetero::decide_placement`] per batch and the answer only
 //! labels the batch and prices its modeled time (see [`crate::manager`]).
 //!
+//! The queue hands out *links*, one batch each: the fleet's unit of
+//! parallelism is the link batch, and the pool's worker count is the only
+//! bound on distillation threads.
+//!
 //! A [`ReadyQueue`] lives for one [`crate::LinkManager::run`] drain; virtual
 //! times start even at every drain, which is exactly the long-run fair
 //! share since weights do not change mid-run.
@@ -47,25 +51,11 @@ impl SchedPolicy {
     }
 }
 
-/// One dispatch decision handed to a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Dispatch {
-    /// The link to serve one batch of.
-    pub link: usize,
-    /// How many pipeline shards the link may scale to right now: 1 plus the
-    /// pool workers not needed by other ready or in-flight links. Computed
-    /// from queue state at dispatch time, so a lone backlogged link on a
-    /// multi-worker pool may fan out while a contended pool keeps every
-    /// link sequential.
-    pub shard_cap: usize,
-}
-
 /// The shared ready queue of one drain: links eligible for service, ordered
 /// per [`SchedPolicy`], plus the outstanding-batch count idle workers watch
 /// to know when to exit and an optional dispatch budget.
 pub(crate) struct ReadyQueue {
     policy: SchedPolicy,
-    workers: usize,
     state: Mutex<QueueState>,
     cv: Condvar,
 }
@@ -84,31 +74,22 @@ struct QueueState {
     active: Vec<bool>,
     /// Batches seeded but not yet completed.
     outstanding: usize,
-    /// Links currently being served by a worker.
-    in_flight: usize,
     /// Dispatches remaining before the drain stops early (`None` = drain
     /// everything).
     budget: Option<usize>,
 }
 
 impl ReadyQueue {
-    pub(crate) fn new(
-        policy: SchedPolicy,
-        workers: usize,
-        budget: Option<usize>,
-        weights: Vec<f64>,
-    ) -> Self {
+    pub(crate) fn new(policy: SchedPolicy, budget: Option<usize>, weights: Vec<f64>) -> Self {
         let links = weights.len();
         Self {
             policy,
-            workers,
             state: Mutex::new(QueueState {
                 ready: VecDeque::new(),
                 vtime: vec![0.0; links],
                 weights,
                 active: vec![false; links],
                 outstanding: 0,
-                in_flight: 0,
                 budget,
             }),
             cv: Condvar::new(),
@@ -141,16 +122,16 @@ impl ReadyQueue {
         self.lock_state().outstanding
     }
 
-    /// Blocks until a link is eligible for service. Returns `None` once every
-    /// outstanding batch has completed or the dispatch budget is spent.
-    pub(crate) fn next(&self) -> Option<Dispatch> {
+    /// Blocks until a link is eligible for service and returns it: the worker
+    /// serves one batch of that link. Returns `None` once every outstanding
+    /// batch has completed or the dispatch budget is spent.
+    pub(crate) fn next(&self) -> Option<usize> {
         let mut st = self.lock_state();
         loop {
             if st.budget == Some(0) {
                 return None;
             }
             if let Some(link) = Self::pick(self.policy, &mut st) {
-                st.in_flight += 1;
                 if let Some(b) = st.budget.as_mut() {
                     *b -= 1;
                     if *b == 0 {
@@ -158,11 +139,7 @@ impl ReadyQueue {
                         self.cv.notify_all();
                     }
                 }
-                let spare = self.workers.saturating_sub(st.in_flight + st.ready.len());
-                return Some(Dispatch {
-                    link,
-                    shard_cap: 1 + spare,
-                });
+                return Some(link);
             }
             if st.outstanding == 0 {
                 return None;
@@ -201,7 +178,6 @@ impl ReadyQueue {
     pub(crate) fn complete(&self, link: usize, service_secs: f64, completed: usize, requeue: bool) {
         let mut st = self.lock_state();
         st.outstanding = st.outstanding.saturating_sub(completed);
-        st.in_flight = st.in_flight.saturating_sub(1);
         let weight = st.weights.get(link).copied().unwrap_or(1.0);
         if weight > 0.0 && service_secs > 0.0 {
             if let Some(v) = st.vtime.get_mut(link) {
@@ -259,17 +235,17 @@ mod tests {
             queue.seed(link, batches);
         }
         let mut order = Vec::new();
-        while let Some(d) = queue.next() {
-            order.push(d.link);
-            pending[d.link] -= 1;
-            queue.complete(d.link, service(d.link), 1, pending[d.link] > 0);
+        while let Some(link) = queue.next() {
+            order.push(link);
+            pending[link] -= 1;
+            queue.complete(link, service(link), 1, pending[link] > 0);
         }
         order
     }
 
     #[test]
     fn wfq_shares_track_weights() {
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, 1, Some(10), vec![4.0, 1.0]);
+        let queue = ReadyQueue::new(SchedPolicy::Wfq, Some(10), vec![4.0, 1.0]);
         let order = drive(&queue, vec![100, 100], |_| 1.0);
         assert_eq!(order.len(), 10);
         let link0 = order.iter().filter(|&&l| l == 0).count();
@@ -282,7 +258,7 @@ mod tests {
 
     #[test]
     fn fifo_round_robin_ignores_weights() {
-        let queue = ReadyQueue::new(SchedPolicy::Fifo, 1, Some(10), vec![4.0, 1.0]);
+        let queue = ReadyQueue::new(SchedPolicy::Fifo, Some(10), vec![4.0, 1.0]);
         let order = drive(&queue, vec![100, 100], |_| 1.0);
         let link0 = order.iter().filter(|&&l| l == 0).count();
         assert_eq!(link0, 5, "round robin splits evenly, order {order:?}");
@@ -295,7 +271,7 @@ mod tests {
     fn wfq_compensates_expensive_batches() {
         // Equal weights but link 0's batches cost 3× as much: it should be
         // served ~3× less often.
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, 1, Some(12), vec![1.0, 1.0]);
+        let queue = ReadyQueue::new(SchedPolicy::Wfq, Some(12), vec![1.0, 1.0]);
         let order = drive(&queue, vec![100, 100], |l| if l == 0 { 3.0 } else { 1.0 });
         let link0 = order.iter().filter(|&&l| l == 0).count();
         assert!(link0 <= 4, "expensive link overserved: {order:?}");
@@ -303,12 +279,12 @@ mod tests {
 
     #[test]
     fn budget_stops_the_drain_with_backlog_left() {
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, 2, Some(3), vec![1.0]);
+        let queue = ReadyQueue::new(SchedPolicy::Wfq, Some(3), vec![1.0]);
         queue.seed(0, 8);
         let mut served = 0;
-        while let Some(d) = queue.next() {
+        while let Some(link) = queue.next() {
             served += 1;
-            queue.complete(d.link, 0.5, 1, true);
+            queue.complete(link, 0.5, 1, true);
         }
         assert_eq!(served, 3);
         assert_eq!(queue.outstanding(), 5);
@@ -316,29 +292,10 @@ mod tests {
 
     #[test]
     fn full_drain_without_budget() {
-        let queue = ReadyQueue::new(SchedPolicy::Fifo, 1, None, vec![1.0, 1.0]);
+        let queue = ReadyQueue::new(SchedPolicy::Fifo, None, vec![1.0, 1.0]);
         let order = drive(&queue, vec![3, 2], |_| 0.1);
         assert_eq!(order.len(), 5);
         assert_eq!(queue.outstanding(), 0);
-    }
-
-    #[test]
-    fn shard_cap_reflects_idle_workers() {
-        // One link, four workers: the lone dispatch may fan out to all
-        // spare workers.
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, 4, None, vec![1.0]);
-        queue.seed(0, 4);
-        let d = queue.next().unwrap();
-        assert_eq!(d.shard_cap, 4);
-        queue.complete(d.link, 0.1, 1, true);
-
-        // Four contending links on two workers: no spare capacity.
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, 2, None, vec![1.0; 4]);
-        for link in 0..4 {
-            queue.seed(link, 2);
-        }
-        let d = queue.next().unwrap();
-        assert_eq!(d.shard_cap, 1);
     }
 
     #[test]

@@ -34,14 +34,6 @@ pub struct LinkSpec {
     /// link while both are backlogged. Ignored under FIFO. Must be finite
     /// and positive.
     pub weight: f64,
-    /// Upper bound on pipeline shards the scheduler may autoscale this link
-    /// to when it is backlogged and spare cores exist. 1 (the default) keeps
-    /// the link on the sequential batch path; values above 1 opt the link
-    /// into [`qkd_core::PostProcessor::process_detections_pipelined`], which
-    /// is bit-identical for completed batches (see
-    /// [`qkd_core::PipelineOptions`] for the auth-pool draw-order caveat
-    /// under mid-batch abort).
-    pub max_shards: usize,
 }
 
 impl LinkSpec {
@@ -55,19 +47,12 @@ impl LinkSpec {
             sample_fraction: 0.15,
             auth_pool_bits: 1 << 20,
             weight: 1.0,
-            max_shards: 1,
         }
     }
 
     /// Sets the WFQ scheduling weight, keeping everything else.
     pub fn with_weight(mut self, weight: f64) -> Self {
         self.weight = weight;
-        self
-    }
-
-    /// Sets the pipeline-shard cap, keeping everything else.
-    pub fn with_max_shards(mut self, max_shards: usize) -> Self {
-        self.max_shards = max_shards;
         self
     }
 
@@ -125,12 +110,6 @@ impl LinkSpec {
                 "scheduling weight must be finite and positive",
             ));
         }
-        if self.max_shards == 0 {
-            return Err(QkdError::invalid_parameter(
-                "max_shards",
-                "a link needs at least one pipeline shard",
-            ));
-        }
         self.engine_config().validate()
     }
 }
@@ -156,7 +135,9 @@ pub enum AdmissionPolicy {
 /// the scheduler orders the work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetConfig {
-    /// Worker threads in the shared pool (the whole fleet's compute budget).
+    /// Worker threads in the shared pool — the whole fleet's compute budget
+    /// and the only bound on distillation threads: each worker distils one
+    /// link batch at a time on its own reconciliation scratch.
     pub workers: usize,
     /// Maximum batches a single link may have queued; submissions beyond the
     /// cap are handled per [`FleetConfig::admission`].
@@ -333,15 +314,11 @@ mod tests {
 
     #[test]
     fn scheduling_knobs_validate() {
-        let spec = LinkSpec::new("weighted", 0.01, 4096, 7)
-            .with_weight(4.0)
-            .with_max_shards(2);
+        let spec = LinkSpec::new("weighted", 0.01, 4096, 7).with_weight(4.0);
         spec.validate().unwrap();
         assert_eq!(spec.weight, 4.0);
-        assert_eq!(spec.max_shards, 2);
         assert!(spec.clone().with_weight(0.0).validate().is_err());
-        assert!(spec.clone().with_weight(f64::NAN).validate().is_err());
-        assert!(spec.with_max_shards(0).validate().is_err());
+        assert!(spec.with_weight(f64::NAN).validate().is_err());
 
         let config = FleetConfig::default();
         assert_eq!(config.policy, SchedPolicy::Wfq);

@@ -193,19 +193,11 @@ mod tests {
             .secret_length(8_192, 0.02, 1_500, 64)
             .unwrap();
         let hash = ToeplitzHash::random(8_192, len.secret_bits, &mut rng).unwrap();
-        let outs: Vec<BitVec> = [
-            ToeplitzStrategy::Naive,
-            ToeplitzStrategy::Packed,
-            ToeplitzStrategy::Clmul,
-        ]
-        .iter()
-        .map(|&s| {
+        let [naive, clmul] = [ToeplitzStrategy::Naive, ToeplitzStrategy::Clmul].map(|s| {
             PrivacyAmplifier::new(FiniteKeyParams::default(), s)
                 .amplify_with(&reconciled, &hash)
                 .unwrap()
-        })
-        .collect();
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[1], outs[2]);
+        });
+        assert_eq!(naive, clmul);
     }
 }

@@ -10,11 +10,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`toeplitz`] — three evaluation strategies for the same hash, all
-//!   bit-exact with one another: the one the engine runs (carry-less-multiply
-//!   convolution on `PCLMULQDQ` where the host has it, computing only the
-//!   product words the output is read from) and two baselines kept as test
-//!   oracles (bit-wise reference, word-packed shift/XOR);
+//! * [`toeplitz`] — two bit-exact evaluation strategies for the same hash:
+//!   the one the engine runs (carry-less-multiply convolution on `PCLMULQDQ`
+//!   where the host has it, computing only the product words the output is
+//!   read from) and the bit-wise reference kept as the test oracle;
 //! * [`finite_key`] — the composable finite-key secret-length formula and the
 //!   asymptotic rate;
 //! * [`amplifier`] — the [`amplifier::PrivacyAmplifier`] that ties seed

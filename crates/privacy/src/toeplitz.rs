@@ -9,9 +9,9 @@
 //! product on the CPU's carry-less-multiply unit ([`qkd_types::gf2::clmul_row`],
 //! `PCLMULQDQ` where the host has it), restricted to the word diagonals that
 //! reach the `m` product bits the hash returns — three diagonals for a 64-bit
-//! verification tag, whatever the input length. The naive and packed
-//! strategies compute the same function bit by bit and row by row; they are
-//! the differential oracle and the baselines of the Figure 3 sweep.
+//! verification tag, whatever the input length. [`ToeplitzStrategy::Naive`]
+//! computes the same function bit by bit from the definition; it is the
+//! differential oracle and the baseline of the Figure 3 sweep.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,15 +27,12 @@ thread_local! {
 
 /// Evaluation strategy for the Toeplitz hash.
 ///
-/// All strategies compute exactly the same function; they differ only in cost,
-/// which is what the Figure 3 benchmark sweeps.
+/// Both strategies compute exactly the same function; they differ only in
+/// cost, which is what the Figure 3 benchmark sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ToeplitzStrategy {
     /// Bit-by-bit reference implementation, `O(n · m)` bit operations.
     Naive,
-    /// Word-packed rows: each output bit is the parity of a 64-bit-word AND
-    /// between the input and a sliding window of the seed.
-    Packed,
     /// Carry-less-multiply convolution: the window of the GF(2) polynomial
     /// product `input · seed` that holds the output, `O(n·m/64²)` word
     /// multiplies on the carry-less-multiply unit.
@@ -157,7 +154,6 @@ impl ToeplitzHash {
         }
         Ok(match strategy {
             ToeplitzStrategy::Naive => self.hash_naive(input),
-            ToeplitzStrategy::Packed => self.hash_packed(input),
             ToeplitzStrategy::Clmul => self.hash_clmul(input),
         })
     }
@@ -172,50 +168,6 @@ impl ToeplitzHash {
                 }
             }
             out.set(row, acc);
-        }
-        out
-    }
-
-    fn hash_packed(&self, input: &BitVec) -> BitVec {
-        // Output bit j is parity( input AND seed[j + n-1-i for i] ) which is a
-        // dot product of the input with the reversed seed window starting at
-        // offset j. Precompute the reversed input once, then each row is a
-        // word-wise AND/popcount against a shifted view of the seed.
-        let n = self.input_len;
-        // The reversed copy is the reconciled key: wiped on drop.
-        let mut reversed = SecretBuf::from_bits(BitVec::zeros(n));
-        for i in 0..n {
-            if input.get(i) {
-                reversed.expose_mut().set(n - 1 - i, true);
-            }
-        }
-        let rev_words = reversed.as_words();
-        let seed_words = self.seed.as_words();
-
-        let mut out = BitVec::zeros(self.output_len);
-        for row in 0..self.output_len {
-            // Window seed[row .. row + n), compared against reversed input.
-            let mut acc = 0u64;
-            let shift = row % 64;
-            let word_off = row / 64;
-            let words_needed = n.div_ceil(64);
-            for (w, &rev_word) in rev_words.iter().enumerate().take(words_needed) {
-                let lo = seed_words.get(word_off + w).copied().unwrap_or(0) >> shift;
-                let hi = if shift == 0 {
-                    0
-                } else {
-                    seed_words.get(word_off + w + 1).copied().unwrap_or(0) << (64 - shift)
-                };
-                let mut window = lo | hi;
-                // Mask the final partial word of the window.
-                if w == words_needed - 1 && n % 64 != 0 {
-                    window &= (1u64 << (n % 64)) - 1;
-                }
-                acc ^= window & rev_word;
-            }
-            if acc.count_ones() % 2 == 1 {
-                out.set(row, true);
-            }
         }
         out
     }
@@ -272,9 +224,7 @@ mod tests {
         for &(n, m) in &[(64, 16), (200, 77), (1024, 512), (1000, 999), (130, 1)] {
             let (h, x) = instance(n, m, n as u64 * 31 + m as u64);
             let naive = h.hash(&x, ToeplitzStrategy::Naive).unwrap();
-            let packed = h.hash(&x, ToeplitzStrategy::Packed).unwrap();
             let clmul = h.hash(&x, ToeplitzStrategy::Clmul).unwrap();
-            assert_eq!(naive, packed, "packed mismatch at ({n}, {m})");
             assert_eq!(naive, clmul, "clmul mismatch at ({n}, {m})");
         }
     }
@@ -373,8 +323,8 @@ mod tests {
         let trials = 2000;
         for _ in 0..trials {
             let h = ToeplitzHash::random(64, 8, &mut rng).unwrap();
-            if h.hash(&x, ToeplitzStrategy::Packed).unwrap()
-                == h.hash(&y, ToeplitzStrategy::Packed).unwrap()
+            if h.hash(&x, ToeplitzStrategy::Clmul).unwrap()
+                == h.hash(&y, ToeplitzStrategy::Clmul).unwrap()
             {
                 collisions += 1;
             }

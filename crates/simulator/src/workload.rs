@@ -15,7 +15,7 @@ use qkd_types::{Basis, BitValue, BitVec, BlockId, DetectionEvent, PulseClass, Qk
 /// Expands a correlated bit pair into an all-signal, bases-matched detection
 /// stream, so sifting retains exactly these bits. This bridges the fast
 /// workload generators to the engine's detection-batch entry points — used by
-/// benchmarks and the sequential-vs-pipelined equivalence tests.
+/// benchmarks and the batch-width equivalence tests.
 ///
 /// # Panics
 ///

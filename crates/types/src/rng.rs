@@ -41,11 +41,12 @@ pub fn derive_rng(master_seed: u64, label: &str) -> StdRng {
 /// Derives the seed of a numbered block's RNG within a component.
 ///
 /// This is the value-level form of [`derive_block_rng`]: callers that need to
-/// ship a seed across threads (e.g. a stage pipeline distilling many blocks
+/// ship a seed across threads (e.g. a batch whose blocks are distilled
 /// concurrently) derive the `u64` once and reconstruct the RNG wherever the
-/// block is processed. Sequential and pipelined executions that derive from
-/// the same `(master_seed, label, block)` triple therefore draw identical
-/// random streams, which is what makes their outputs bit-identical.
+/// block is processed. Executions that derive from the same
+/// `(master_seed, label, block)` triple therefore draw identical random
+/// streams whichever thread runs the block, which is what makes their
+/// outputs bit-identical.
 pub fn block_seed(master_seed: u64, label: &str, block: u64) -> u64 {
     let mut h = master_seed ^ 0x9E37_79B9_7F4A_7C15;
     for byte in label.bytes() {

@@ -77,24 +77,5 @@ fn main() -> Result<(), QkdError> {
     }
 
     println!("\nSmall blocks favour the CPU (accelerator launch overhead dominates);\nlarge blocks favour the accelerators — the crossover is the paper's core argument.");
-
-    // The same pipelining idea at the engine level: distil a batch of blocks
-    // with the five stages overlapped on worker threads and show where the
-    // time goes per stage (the bottleneck stage sets the pipeline's rate).
-    use qkd::core::{PipelineOptions, PostProcessingConfig, PostProcessor};
-    use qkd::simulator::{LinkConfig, LinkSimulator};
-
-    println!("\nEngine stage pipeline (8 kbit blocks, metro link):");
-    let mut sim = LinkSimulator::new(LinkConfig::metro_25km(), 5);
-    let batch = sim.run_until_sifted(25_000, 200_000, 50_000_000)?;
-    let mut config = PostProcessingConfig::for_block_size(8192);
-    config.sampling.sample_fraction = 0.15;
-    let mut engine = PostProcessor::new(config, 9)?;
-    let out = engine.process_detections_pipelined(&batch.events, &PipelineOptions::saturating())?;
-    print!("{}", out.throughput.to_table());
-    println!(
-        "stage-overlap speedup bound: {:.2}x (approached as cores allow)",
-        out.throughput.stage_overlap_bound()
-    );
     Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use qkd::core::{PipelineOptions, PostProcessingConfig, PostProcessor};
+use qkd::core::{PostProcessingConfig, PostProcessor, ReconcilerScratch};
 use qkd::simulator::{LinkConfig, LinkSimulator};
 use qkd::types::QkdError;
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), QkdError> {
     // 2. Run the full post-processing stack on the detections.
     let mut config = PostProcessingConfig::for_block_size(8192);
     config.sampling.sample_fraction = 0.15;
-    let mut processor = PostProcessor::new(config, 7)?;
+    let mut processor = PostProcessor::new(config.clone(), 7)?;
     let results = processor.process_detections(&batch.events)?;
 
     // 3. Report what came out.
@@ -46,22 +46,23 @@ fn main() -> Result<(), QkdError> {
     println!("  remainder buffered : {} bits", s.carried_bits);
     println!("  classical messages : {}", s.channel_usage.messages);
 
-    // 4. The same batch through the pipelined path: the five stages run on
-    //    their own worker threads and overlap across blocks, yet an
-    //    identically-seeded engine distils bit-identical keys.
-    let mut config = PostProcessingConfig::for_block_size(8192);
-    config.sampling.sample_fraction = 0.15;
-    let mut pipelined = PostProcessor::new(config, 7)?;
-    let batch2 =
-        pipelined.process_detections_pipelined(&batch.events, &PipelineOptions::saturating())?;
+    // 4. The same batch lending the engine one reconciliation scratch per
+    //    core: the blocks' estimation, reconciliation, verification and
+    //    privacy amplification fan out over that many threads while
+    //    authentication stays in block order, so an identically-seeded engine
+    //    distils bit-identical keys.
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut scratches: Vec<ReconcilerScratch> =
+        (0..width).map(|_| ReconcilerScratch::new()).collect();
+    let mut wide = PostProcessor::new(config, 7)?;
+    let wide_results = wide.process_detections_with_scratch(&batch.events, &mut scratches)?;
     let identical = results
         .iter()
-        .zip(&batch2.results)
-        .all(|(a, b)| a.secret_key.bits == b.secret_key.bits);
+        .map(|r| &r.secret_key.bits)
+        .eq(wide_results.iter().map(|r| &r.secret_key.bits));
     println!(
-        "\npipelined run: {} blocks, keys identical to sequential: {identical}",
-        batch2.results.len()
+        "\nwidth-{width} run: {} blocks, keys identical to width 1: {identical}",
+        wide_results.len()
     );
-    print!("{}", batch2.throughput.to_table());
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! * [`ldpc`] — rate-adaptive LDPC syndrome reconciliation;
 //! * [`privacy`] — Toeplitz privacy amplification and finite-key analysis;
 //! * [`auth`] — Wegman–Carter authentication and key-consumption ledger;
-//! * [`hetero`] — heterogeneous devices, cost models, placement, pipelines;
+//! * [`hetero`] — heterogeneous devices, cost models, calibration, placement;
 //! * [`core`] — the end-to-end post-processing engine;
 //! * [`manager`] — the fleet key-manager service: many links over a shared
 //!   worker pool, with a key-store delivery API;

@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole workspace: simulator → sifting →
 //! reconciliation → verification → privacy amplification → authentication.
 
-use qkd::core::{PipelineOptions, PostProcessingConfig, PostProcessor, ReconciliationMethod};
+use qkd::core::{PostProcessingConfig, PostProcessor, ReconcilerScratch, ReconciliationMethod};
 use qkd::manager::{Admission, FleetConfig, LinkManager, LinkSpec};
 use qkd::simulator::{
     detection_events, CorrelatedKeySource, FleetWorkload, LinkConfig, LinkSimulator, WorkloadPreset,
@@ -44,11 +44,11 @@ fn full_stack_distils_key_from_simulated_link() {
 }
 
 #[test]
-fn pipelined_engine_distils_identical_keys_from_a_simulated_link() {
-    // The same simulated detection batch through the sequential and the
-    // pipelined batch paths of two identically-seeded engines: secret keys
-    // must be bit-identical, and the deterministic accounting must agree —
-    // regardless of shard count or channel depth.
+fn every_width_distils_identical_keys_from_a_simulated_link() {
+    // The same simulated detection batch through two identically-seeded
+    // engines, one lending its own scratch and one lending three: secret
+    // keys must be bit-identical, and the deterministic accounting must
+    // agree.
     let mut sim = LinkSimulator::new(LinkConfig::metro_25km(), 77);
     let batch = sim.run_until_sifted(25_000, 200_000, 50_000_000).unwrap();
     let mk = || {
@@ -57,42 +57,36 @@ fn pipelined_engine_distils_identical_keys_from_a_simulated_link() {
         PostProcessor::new(config, 4).unwrap()
     };
 
-    let mut seq = mk();
-    let seq_results = seq.process_detections(&batch.events).unwrap();
-    assert!(!seq_results.is_empty());
+    let mut narrow = mk();
+    let narrow_results = narrow.process_detections(&batch.events).unwrap();
+    assert!(narrow_results.len() >= 2);
 
-    let mut pipe = mk();
-    let options = PipelineOptions::default().with_shards(2);
-    let pipelined = pipe
-        .process_detections_pipelined(&batch.events, &options)
+    let mut wide = mk();
+    let mut scratches: Vec<ReconcilerScratch> = (0..3).map(|_| ReconcilerScratch::new()).collect();
+    let wide_results = wide
+        .process_detections_with_scratch(&batch.events, &mut scratches)
         .unwrap();
 
-    assert_eq!(seq_results.len(), pipelined.results.len());
-    for (s, p) in seq_results.iter().zip(&pipelined.results) {
-        assert_eq!(s.block, p.block);
+    assert_eq!(narrow_results.len(), wide_results.len());
+    for (n, w) in narrow_results.iter().zip(&wide_results) {
+        assert_eq!(n.block, w.block);
         assert_eq!(
-            s.secret_key.bits, p.secret_key.bits,
+            n.secret_key.bits, w.secret_key.bits,
             "block {} keys must be bit-identical",
-            s.block.sequence
+            n.block.sequence
         );
-        assert_eq!(s.qber, p.qber);
-        assert_eq!(s.reconciliation_leak, p.reconciliation_leak);
-        assert_eq!(s.auth_bits_consumed, p.auth_bits_consumed);
+        assert_eq!(n.qber, w.qber);
+        assert_eq!(n.reconciliation_leak, w.reconciliation_leak);
+        assert_eq!(n.auth_bits_consumed, w.auth_bits_consumed);
+        // Every block reports all six stages, whichever thread ran it.
+        assert_eq!(w.stage_times.len(), 6);
     }
-    assert_eq!(seq.summary().accounting(), pipe.summary().accounting());
-    assert_eq!(seq.pending_remainder_bits(), pipe.pending_remainder_bits());
-
-    // The throughput report accounts for every block and every stage.
-    assert_eq!(pipelined.throughput.items, seq_results.len());
-    assert_eq!(pipelined.throughput.stages.len(), 5);
+    assert_eq!(narrow.summary().accounting(), wide.summary().accounting());
     assert_eq!(
-        pipelined.throughput.input_bits,
-        seq.summary().sifted_bits_in
+        narrow.pending_remainder_bits(),
+        wide.pending_remainder_bits()
     );
-    assert_eq!(
-        pipelined.throughput.output_bits,
-        seq.summary().secret_bits_out
-    );
+    assert_eq!(narrow.auth_key_remaining(), wide.auth_key_remaining());
 }
 
 #[test]
