@@ -536,26 +536,44 @@ pub fn ablate_decoder() {
 /// # Panics
 ///
 /// On a host with `PCLMULQDQ`, panics when either Toeplitz row runs below
-/// its floor — the gate CI's blocking `test` job relies on.
+/// its floor; panics when the LDPC decode row was not dispatched to the
+/// circulant-lane kernel or, on a host with AVX2, runs below its floor — the
+/// gates CI's blocking `test` job relies on.
 pub fn smoke() {
     let total_start = std::time::Instant::now();
     let block = 16_384usize;
     let qber = 0.02f64;
     let mut results: Vec<(&str, f64, f64)> = Vec::new(); // (name, ms, mbit/s)
 
-    // LDPC syndrome decode.
+    // LDPC syndrome decode, warm scratch, best of a few calls: the row
+    // carries a floor, so one cold-cache shot must not decide it.
     let matrix = ParityCheckMatrix::for_rate(block, 0.5, 91).unwrap();
     let decoder = SyndromeDecoder::new(&matrix, DecoderConfig::default()).unwrap();
     let mut rng = derive_rng(93, "smoke");
     let truth = BitVec::random_with_density(&mut rng, block, qber);
     let syndrome = matrix.syndrome(&truth);
-    let (out, t) = timed(|| decoder.decode(&syndrome, qber, &[]).unwrap());
-    assert!(out.converged, "smoke decode must converge");
-    results.push((
-        "ldpc_decode_16k",
-        t.as_secs_f64() * 1e3,
-        mbps(block as f64, t),
-    ));
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let circulant_lane = qkd_obs::registry().counter(
+        "qkd_ldpc_kernel_dispatch_total",
+        &[("kernel", if avx2 { "qc-avx2" } else { "qc-scalar" })],
+    );
+    let circulant_lane_before = circulant_lane.value();
+    let mut scratch = DecoderScratch::new();
+    let t = best_of(
+        || {
+            let out = decoder
+                .decode_with_scratch(&syndrome, qber, &[], &mut scratch)
+                .unwrap();
+            assert!(out.converged, "smoke decode must converge");
+        },
+        4,
+        3,
+    );
+    let decode_mbps = mbps(block as f64, t);
+    results.push(("ldpc_decode_16k", t.as_secs_f64() * 1e3, decode_mbps));
 
     // Rate-adaptive LDPC reconciliation.
     let mut src = CorrelatedKeySource::new(block, qber, 95).unwrap();
@@ -685,6 +703,22 @@ pub fn smoke() {
     // run at rates no software multiply loop reaches (the portable 64-step
     // shift/mask form, ~77 ns a multiply, manages ~1.6 Mbit/s on the first
     // row and ~140 on the second), so a silent fall back to it fails here.
+    //
+    // Likewise the decode row: every 16 384-bit code is quasi-cyclic at
+    // circulant 64, so the decodes must have been counted under the
+    // circulant-lane kernel this host has — a silent fall back to the CSR
+    // sweeps fails here whatever the clock says — and with AVX2 they must
+    // run at its rate.
+    assert!(
+        circulant_lane.value() > circulant_lane_before,
+        "ldpc_decode_16k was not dispatched to the circulant-lane kernel"
+    );
+    if avx2 {
+        assert!(
+            decode_mbps >= LDPC_DECODE_FLOOR_MBPS,
+            "ldpc_decode_16k ran at {decode_mbps:.1} Mbit/s, floor {LDPC_DECODE_FLOOR_MBPS}"
+        );
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("pclmulqdq") {
         assert!(
@@ -697,6 +731,12 @@ pub fn smoke() {
         );
     }
 }
+
+/// Floor on `ldpc_decode_16k` (rate 1/2, 2 % errors, two iterations) where
+/// AVX2 is present: about half of the 95–115 Mbit/s the circulant-lane kernel
+/// measures on the 2-core sandbox, and above the 38–40 Mbit/s the gather
+/// quads it replaced on these codes measure there.
+const LDPC_DECODE_FLOOR_MBPS: f64 = 50.0;
 
 /// Floor on `toeplitz_clmul_64k` (65 536 → 32 768 bits) where `PCLMULQDQ` is
 /// present.

@@ -11,21 +11,46 @@
 //!
 //! # Hot-path layout
 //!
-//! The decoder is the fleet's hot loop, so the message-passing state lives in
-//! flat check-major arrays (structure-of-arrays, contiguous per-check edge
-//! slices) and every buffer the iteration loops touch comes from a
-//! caller-owned [`DecoderScratch`] that is reused across iterations, blocks
-//! and rate-ladder attempts — after the first decode at a given size, a
-//! decode performs **zero heap allocations** inside the iteration loops.
-//! Convergence is checked word-packed: the syndrome of the packed
-//! hard-decision words is rebuilt by walking only the *set* bits through the
-//! variable-major column map, instead of a bit-by-bit sweep of every edge.
+//! The decoder is the fleet's hot loop. It reads the Tanner graph straight
+//! from the [`ParityCheckMatrix`] it is bound to (one flat `u32` CSR, shared,
+//! not copied), keeps the message-passing state in flat check-major arrays,
+//! and draws every buffer the iteration loops touch from a caller-owned
+//! [`DecoderScratch`] that is reused across iterations, blocks and
+//! rate-ladder attempts — after the first decode at a given size, a decode
+//! performs **zero heap allocations** inside the iteration loops.
+//!
+//! The default configuration (normalised min-sum, layered) is served by one
+//! of three sweeps, chosen once in [`SyndromeDecoder::new`] from what the
+//! matrix is and what the host has:
+//!
+//! * **Circulant-lane** — for matrices whose checks form layers of 64 rows
+//!   lifted from one base row by cyclic shifts (every quasi-cyclic code at
+//!   circulant 64, i.e. every library code of 16 384 bits and up). The lane
+//!   is the position inside the circulant: edge `k` of a layer reads its 64
+//!   posteriors as one rotated run of `posterior[bc_k·64..]`, the layer's
+//!   messages are stored `[k][lane]`, its 64 target-syndrome signs are one
+//!   word, hard decisions are a sign-bit pack and the convergence check is
+//!   the matrix's rotate-XOR syndrome. The 64 checks of a layer are pairwise
+//!   variable-disjoint (base columns are distinct within a layer), so the
+//!   layered schedule's sequential semantics cannot be observed inside a
+//!   layer and running it in lockstep is **bit-identical** to the per-check
+//!   sweep: every lane executes exactly [`SyndromeDecoder`]'s scalar
+//!   per-check operation sequence, in f64, in edge order. An AVX2 form (four
+//!   lanes a register, no gather, no scatter) lives in `simd.rs`; the
+//!   portable form below is what other hosts run.
+//! * **AVX2 quads** — for every other matrix (the PEG codes below 16 384
+//!   bits) on an AVX2 host: four consecutive variable-disjoint equal-degree
+//!   checks, one per lane, gathered through the CSR (`simd.rs`).
+//! * **Scalar** — the per-check loop; also what flooding and sum-product run.
+//!
+//! For the unstructured matrices convergence is checked by walking only the
+//! *set* hard-decision bits through the variable-major column map.
 //!
 //! [`SyndromeDecoder::decode_reference`] retains the seed implementation's
 //! *cost profile* — per-check `Vec` construction and cloning, bit-by-bit
 //! syndrome checks through [`BitVec::get`], message buffers rebuilt on every
 //! call — on the current flat adjacency. It is the equivalence oracle for
-//! the optimized path (outcomes are bit-identical by construction) and the
+//! the optimized paths (outcomes are bit-identical by construction) and the
 //! baseline the `--decoder` harness benchmark measures speedups against.
 
 use serde::{Deserialize, Serialize};
@@ -33,7 +58,7 @@ use serde::{Deserialize, Serialize};
 use qkd_types::secret::{zeroize_f64s, zeroize_words};
 use qkd_types::{BitVec, QkdError, Result};
 
-use crate::matrix::ParityCheckMatrix;
+use crate::matrix::{ParityCheckMatrix, LANES};
 
 /// Message-passing algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -280,10 +305,20 @@ fn clamp_sym(x: f64, limit: f64) -> f64 {
     x.max(-limit).min(limit)
 }
 
+/// Stride of one 64-variable block in the circulant-lane posterior layout:
+/// the block is followed by a mirror of its first [`MIRROR`] entries (and one
+/// pad entry), so the four lanes a register reads at any in-block offset are
+/// contiguous — a rotated run never wraps.
+pub(crate) const BLOCK_STRIDE: usize = LANES + 4;
+
+/// Entries of a block repeated behind it (a four-lane read starting at
+/// offset 63 ends at 66).
+pub(crate) const MIRROR: usize = 3;
+
 /// Caller-owned arena for every buffer the decode iteration loops touch:
-/// per-edge message arrays, per-variable priors and posteriors, a per-check
-/// input buffer sized to the maximum check degree, and word-packed hard
-/// decisions.
+/// per-edge message arrays, per-variable priors and posteriors, a staging
+/// buffer for the extrinsic inputs of the checks in flight, and word-packed
+/// hard decisions.
 ///
 /// A scratch starts empty and grows to the largest decoder it has served; it
 /// can be reused freely across decoders, blocks, rate-ladder attempts and
@@ -292,13 +327,16 @@ fn clamp_sym(x: f64, limit: f64) -> f64 {
 pub struct DecoderScratch {
     /// Per-edge variable-to-check messages (flooding schedule).
     v2c: Vec<f64>,
-    /// Per-edge check-to-variable messages.
+    /// Per-edge check-to-variable messages (check-major; `[k][lane]` within
+    /// a layer on the circulant-lane path).
     c2v: Vec<f64>,
     /// Per-variable channel priors.
     channel: Vec<f64>,
-    /// Per-variable posterior LLRs (layered schedule).
+    /// Per-variable posterior LLRs (layered schedule; blocks of
+    /// [`BLOCK_STRIDE`] on the circulant-lane path).
     posterior: Vec<f64>,
-    /// Per-check extrinsic inputs (sized to the maximum check degree).
+    /// Extrinsic inputs of the checks in flight: one check's on the scalar
+    /// path, a whole layer's on the circulant-lane path.
     inputs: Vec<f64>,
     /// Word-packed hard decisions.
     hard: Vec<u64>,
@@ -317,24 +355,31 @@ impl DecoderScratch {
     /// Grows every buffer to fit `decoder` (never shrinks, so one scratch
     /// serves a whole rate ladder or a mix of block sizes).
     fn ensure(&mut self, decoder: &SyndromeDecoder) {
-        let edges = decoder.edge_var.len();
-        let n = decoder.n;
+        let edges = decoder.matrix.num_edges();
+        let n = decoder.matrix.num_vars();
+        let (posterior, inputs) = if decoder.circulant_scale().is_some() {
+            (n / LANES * BLOCK_STRIDE, decoder.max_check_degree * LANES)
+        } else {
+            (n, decoder.max_check_degree)
+        };
         if self.v2c.len() < edges {
             self.v2c.resize(edges, 0.0);
             self.c2v.resize(edges, 0.0);
         }
         if self.channel.len() < n {
             self.channel.resize(n, 0.0);
-            self.posterior.resize(n, 0.0);
         }
-        if self.inputs.len() < decoder.max_check_degree {
-            self.inputs.resize(decoder.max_check_degree, 0.0);
+        if self.posterior.len() < posterior {
+            self.posterior.resize(posterior, 0.0);
+        }
+        if self.inputs.len() < inputs {
+            self.inputs.resize(inputs, 0.0);
         }
         let words = n.div_ceil(64);
         if self.hard.len() < words {
             self.hard.resize(words, 0);
         }
-        let syn_words = decoder.m.div_ceil(64);
+        let syn_words = decoder.matrix.num_checks().div_ceil(64);
         if self.syn.len() < syn_words {
             self.syn.resize(syn_words, 0);
         }
@@ -357,39 +402,57 @@ impl DecoderScratch {
     }
 }
 
+/// The kernel behind the min-sum layered sweep, fixed at construction from
+/// the matrix's structure and the host's features (see the module docs).
+/// Every other algorithm/schedule combination is [`Sweep::Scalar`].
+#[derive(Debug, Clone)]
+enum Sweep {
+    /// Per-check scalar loop over the CSR.
+    Scalar,
+    /// AVX2 lane-per-check quads interleaved with scalar singles: entries
+    /// are `c | simd::QUAD` or a bare check index.
+    #[cfg(target_arch = "x86_64")]
+    Quads(Vec<u32>),
+    /// Circulant-lane lockstep over whole layers; `avx2` selects the vector
+    /// form over the portable one.
+    Circulant { avx2: bool },
+}
+
+impl Sweep {
+    fn is_circulant(&self) -> bool {
+        matches!(self, Sweep::Circulant { .. })
+    }
+
+    /// Value of the `kernel` label on `qkd_ldpc_kernel_dispatch_total`.
+    fn label(&self) -> &'static str {
+        match self {
+            Sweep::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Sweep::Quads(_) => "avx2",
+            Sweep::Circulant { avx2: false } => "qc-scalar",
+            Sweep::Circulant { avx2: true } => "qc-avx2",
+        }
+    }
+}
+
 /// A belief-propagation syndrome decoder bound to one parity-check matrix.
 ///
-/// The Tanner graph is stored flat (check-major edge list plus a CSR
-/// variable-to-edge map) so both orientations of the message-passing sweep
-/// run over contiguous memory. The decoder itself is immutable and shareable;
-/// all mutable decode state lives in a [`DecoderScratch`].
+/// The decoder shares the matrix's flat Tanner graph (check-major edge list
+/// plus the variable-major map), so both orientations of the message-passing
+/// sweep run over contiguous memory without a second copy. The decoder itself
+/// is immutable and shareable; all mutable decode state lives in a
+/// [`DecoderScratch`].
 #[derive(Debug, Clone)]
 pub struct SyndromeDecoder {
     config: DecoderConfig,
     kernel: CheckKernel,
-    /// Flattened (check-major) variable indices, one entry per edge.
-    edge_var: Vec<u32>,
-    /// Start offset of each check's edges in `edge_var` (length `m + 1`).
-    check_offsets: Vec<u32>,
-    /// Flattened (variable-major) edge ids.
-    var_edge: Vec<u32>,
-    /// Flattened (variable-major) check ids, parallel to `var_edge`.
-    var_check: Vec<u32>,
-    /// Start offset of each variable's edges in `var_edge` (length `n + 1`).
-    var_offsets: Vec<u32>,
-    /// Lane-per-check schedule for the AVX2 min-sum sweeps: quads of
-    /// consecutive equal-degree checks (additionally pairwise
-    /// variable-disjoint for the layered schedule), interleaved with scalar
-    /// singles. Empty when the host lacks AVX2 (scalar sweep runs).
-    #[cfg(target_arch = "x86_64")]
-    quad_sched: Vec<u32>,
+    matrix: ParityCheckMatrix,
+    sweep: Sweep,
     max_check_degree: usize,
-    n: usize,
-    m: usize,
     /// Iterations-to-converge histogram (`qkd_ldpc_decode_iterations`).
     obs_iterations: qkd_obs::Histogram,
-    /// Decode calls by dispatched kernel
-    /// (`qkd_ldpc_kernel_dispatch_total{kernel="avx2"|"scalar"}`).
+    /// Decode calls by dispatched kernel (`qkd_ldpc_kernel_dispatch_total`,
+    /// `kernel` = `qc-avx2` | `qc-scalar` | `avx2` | `scalar`).
     obs_kernel: qkd_obs::Counter,
 }
 
@@ -401,93 +464,51 @@ impl SyndromeDecoder {
     /// Returns [`QkdError::InvalidParameter`] if the configuration is invalid.
     pub fn new(matrix: &ParityCheckMatrix, config: DecoderConfig) -> Result<Self> {
         config.validate()?;
-        let m = matrix.num_checks();
-        let n = matrix.num_vars();
-        let num_edges = matrix.num_edges();
+        let max_check_degree = matrix
+            .check_offsets()
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
 
-        // Check-major edge list.
-        let mut edge_var = Vec::with_capacity(num_edges);
-        let mut check_offsets = Vec::with_capacity(m + 1);
-        let mut var_degree = vec![0u32; n];
-        let mut max_check_degree = 0usize;
-        check_offsets.push(0u32);
-        for c in 0..m {
-            let neighbors = matrix.check_neighbors(c);
-            max_check_degree = max_check_degree.max(neighbors.len());
-            for &v in neighbors {
-                var_degree[v] += 1;
-                edge_var.push(v as u32);
-            }
-            check_offsets.push(edge_var.len() as u32);
-        }
-
-        // CSR variable-to-edge map, filled in edge order so per-variable
-        // message sums run in the same order as the check-major sweep.
-        let mut var_offsets = vec![0u32; n + 1];
-        for v in 0..n {
-            var_offsets[v + 1] = var_offsets[v] + var_degree[v];
-        }
-        let mut cursor: Vec<u32> = var_offsets[..n].to_vec();
-        let mut var_edge = vec![0u32; num_edges];
-        let mut var_check = vec![0u32; num_edges];
-        for c in 0..m {
-            let (s, e) = (check_offsets[c] as usize, check_offsets[c + 1] as usize);
-            for (edge, &v) in edge_var[s..e].iter().enumerate() {
-                let v = v as usize;
-                var_edge[cursor[v] as usize] = (s + edge) as u32;
-                var_check[cursor[v] as usize] = c as u32;
-                cursor[v] += 1;
-            }
-        }
-
-        // Only the min-sum sweeps consume the quad schedule; other
-        // configurations skip the scan and the memory. Layered quads must be
-        // pairwise variable-disjoint (lanes would otherwise observe each
-        // other's posterior writes); flooding check updates are independent
-        // within a sweep, so consecutive equal-degree checks suffice.
+        // Only the default configuration has vector sweeps. The lockstep
+        // forms assume every clamped input is finite (both minima of a
+        // degree >= 2 check then are), which a finite clamp guarantees.
+        let min_sum_layered = matches!(config.algorithm, DecoderAlgorithm::MinSum { .. })
+            && config.schedule == Schedule::Layered
+            && config.llr_clamp.is_finite();
         #[cfg(target_arch = "x86_64")]
-        let quad_sched = if matches!(config.algorithm, DecoderAlgorithm::MinSum { .. })
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
-            // `var_degree` has served its purpose; reuse it as the stamp
-            // buffer for the disjointness scan.
-            var_degree.fill(0);
-            crate::simd::build_schedule(
-                m,
-                &check_offsets,
-                &edge_var,
-                &mut var_degree,
-                config.schedule == Schedule::Layered,
-            )
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let sweep = if !min_sum_layered {
+            Sweep::Scalar
+        } else if matrix.is_circulant_layered() {
+            Sweep::Circulant { avx2 }
+        } else if avx2 {
+            #[cfg(target_arch = "x86_64")]
+            let quads = Sweep::Quads(crate::simd::build_schedule(
+                matrix.num_checks(),
+                matrix.check_offsets(),
+                matrix.edge_var(),
+                &mut vec![0u32; matrix.num_vars()],
+            ));
+            #[cfg(not(target_arch = "x86_64"))]
+            let quads = Sweep::Scalar;
+            quads
         } else {
-            Vec::new()
+            Sweep::Scalar
         };
 
         // The kernel dispatch is fixed at construction, so the counter label
         // is too: one series per kernel tells operators whether the fleet is
         // actually running the vectorised sweep.
-        #[cfg(target_arch = "x86_64")]
-        let kernel_label = if quad_sched.is_empty() {
-            "scalar"
-        } else {
-            "avx2"
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let kernel_label = "scalar";
         let obs = qkd_obs::registry();
         Ok(Self {
             kernel: CheckKernel::new(config.algorithm),
             config,
-            edge_var,
-            check_offsets,
-            var_edge,
-            var_check,
-            var_offsets,
-            #[cfg(target_arch = "x86_64")]
-            quad_sched,
+            matrix: matrix.clone(),
             max_check_degree,
-            n,
-            m,
             obs_iterations: obs.histogram_with(
                 "qkd_ldpc_decode_iterations",
                 &[],
@@ -495,8 +516,9 @@ impl SyndromeDecoder {
             ),
             obs_kernel: obs.counter(
                 "qkd_ldpc_kernel_dispatch_total",
-                &[("kernel", kernel_label)],
+                &[("kernel", sweep.label())],
             ),
+            sweep,
         })
     }
 
@@ -507,19 +529,52 @@ impl SyndromeDecoder {
 
     /// Codeword length this decoder expects.
     pub fn block_len(&self) -> usize {
-        self.n
+        self.n()
     }
 
     /// Syndrome length this decoder expects.
     pub fn syndrome_len(&self) -> usize {
-        self.m
+        self.m()
+    }
+
+    /// The min-sum scale when this decoder runs the circulant-lane path.
+    fn circulant_scale(&self) -> Option<f64> {
+        match (self.sweep.is_circulant(), self.kernel) {
+            (true, CheckKernel::MinSum { scale }) => Some(scale),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.matrix.num_vars()
+    }
+
+    #[inline]
+    fn m(&self) -> usize {
+        self.matrix.num_checks()
+    }
+
+    #[inline]
+    fn edge_var(&self) -> &[u32] {
+        self.matrix.edge_var()
+    }
+
+    #[inline]
+    fn check_offsets(&self) -> &[u32] {
+        self.matrix.check_offsets()
+    }
+
+    #[inline]
+    fn var_edge(&self) -> &[u32] {
+        self.matrix.var_edge()
     }
 
     fn validate_inputs(&self, target_syndrome: &BitVec, qber: f64) -> Result<()> {
-        if target_syndrome.len() != self.m {
+        if target_syndrome.len() != self.m() {
             return Err(QkdError::DimensionMismatch {
                 context: "syndrome decoding",
-                expected: self.m,
+                expected: self.m(),
                 actual: target_syndrome.len(),
             });
         }
@@ -578,23 +633,40 @@ impl SyndromeDecoder {
     ) -> Result<DecodeOutcome> {
         self.validate_inputs(target_syndrome, qber)?;
         scratch.ensure(self);
+        let n = self.n();
         let clamp = self.config.llr_clamp;
         let prior = self.prior_llr(qber);
-        // Flooding consults the priors on every variable update, so they get
-        // their own buffer; layered only seeds the posteriors with them.
-        let priors = match self.config.schedule {
-            Schedule::Flooding => &mut scratch.channel[..self.n],
-            Schedule::Layered => &mut scratch.posterior[..self.n],
-        };
-        priors.fill(prior);
-        for &(v, llr) in llr_overrides {
-            if v < self.n {
-                priors[v] = llr.clamp(-clamp, clamp);
+        let overrides = llr_overrides
+            .iter()
+            .filter(|&&(v, _)| v < n)
+            .map(|&(v, llr)| (v, llr.clamp(-clamp, clamp)));
+        let outcome = if let Some(scale) = self.circulant_scale() {
+            let posterior = &mut scratch.posterior[..n / LANES * BLOCK_STRIDE];
+            posterior.fill(prior);
+            for (v, llr) in overrides {
+                let at = v / LANES * BLOCK_STRIDE + v % LANES;
+                posterior[at] = llr;
+                if v % LANES < MIRROR {
+                    posterior[at + LANES] = llr;
+                }
             }
-        }
-        let outcome = match self.config.schedule {
-            Schedule::Flooding => self.decode_flooding_scratch(target_syndrome, scratch),
-            Schedule::Layered => self.decode_layered_scratch(target_syndrome, scratch),
+            self.decode_layered_circulant(scale, target_syndrome, scratch)
+        } else {
+            // Flooding consults the priors on every variable update, so they
+            // get their own buffer; layered only seeds the posteriors with
+            // them.
+            let priors = match self.config.schedule {
+                Schedule::Flooding => &mut scratch.channel[..n],
+                Schedule::Layered => &mut scratch.posterior[..n],
+            };
+            priors.fill(prior);
+            for (v, llr) in overrides {
+                priors[v] = llr;
+            }
+            match self.config.schedule {
+                Schedule::Flooding => self.decode_flooding_scratch(target_syndrome, scratch),
+                Schedule::Layered => self.decode_layered_scratch(target_syndrome, scratch),
+            }
         };
         self.obs_kernel.inc();
         self.obs_iterations.observe(outcome.iterations as f64);
@@ -622,9 +694,9 @@ impl SyndromeDecoder {
         self.validate_inputs(target_syndrome, qber)?;
         let clamp = self.config.llr_clamp;
         let prior = self.prior_llr(qber);
-        let mut channel = vec![prior; self.n];
+        let mut channel = vec![prior; self.n()];
         for &(v, llr) in llr_overrides {
-            if v < self.n {
+            if v < self.n() {
                 channel[v] = llr.clamp(-clamp, clamp);
             }
         }
@@ -636,18 +708,14 @@ impl SyndromeDecoder {
 
     #[inline]
     fn check_range(&self, c: usize) -> (usize, usize) {
-        (
-            self.check_offsets[c] as usize,
-            self.check_offsets[c + 1] as usize,
-        )
+        let offsets = self.check_offsets();
+        (offsets[c] as usize, offsets[c + 1] as usize)
     }
 
     #[inline]
     fn var_range(&self, v: usize) -> (usize, usize) {
-        (
-            self.var_offsets[v] as usize,
-            self.var_offsets[v + 1] as usize,
-        )
+        let offsets = self.matrix.var_offsets();
+        (offsets[v] as usize, offsets[v + 1] as usize)
     }
 
     /// Sign of the target syndrome bit `c`, read from the packed words.
@@ -662,57 +730,16 @@ impl SyndromeDecoder {
 
     /// Copies the packed hard decisions into an owned error pattern.
     fn pattern_from_words(&self, hard: &[u64]) -> BitVec {
-        let mut pattern = BitVec::zeros(self.n);
+        let mut pattern = BitVec::zeros(self.n());
         pattern.as_words_mut().copy_from_slice(hard);
         pattern
     }
 
-    /// Fused min-sum check sweep for the flooding schedule: one pass over a
-    /// check's incoming messages accumulates the two smallest magnitudes and
-    /// the sign product, a second writes the outgoing messages — no staging
-    /// copy, branchless value-dependent selects, bit-identical arithmetic to
+    /// Fused min-sum flooding update of one check: one pass over its incoming
+    /// messages accumulates the two smallest magnitudes and the sign product,
+    /// a second writes the outgoing messages — no staging copy, branchless
+    /// value-dependent selects, bit-identical arithmetic to
     /// [`CheckKernel::apply`].
-    fn min_sum_flooding_sweep(
-        &self,
-        scale: f64,
-        v2c: &[f64],
-        c2v: &mut [f64],
-        target_words: &[u64],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.quad_sched.is_empty() {
-            for &entry in &self.quad_sched {
-                if entry & crate::simd::QUAD != 0 {
-                    let c = (entry & !crate::simd::QUAD) as usize;
-                    let (s, e) = self.check_range(c);
-                    // SAFETY: the schedule was built for this exact graph
-                    // (quads are in-bounds and equal-degree) and only when
-                    // AVX2 was detected at construction.
-                    unsafe {
-                        crate::simd::min_sum_flooding_quad(
-                            c,
-                            e - s,
-                            &self.check_offsets,
-                            target_words,
-                            scale,
-                            v2c,
-                            c2v,
-                        );
-                    }
-                } else {
-                    self.min_sum_flooding_check(entry as usize, scale, v2c, c2v, target_words);
-                }
-            }
-            return;
-        }
-        for c in 0..self.m {
-            self.min_sum_flooding_check(c, scale, v2c, c2v, target_words);
-        }
-    }
-
-    /// Scalar min-sum flooding update of one check (the fused two-pass form
-    /// shared by the non-quad entries of the AVX2 schedule and by hosts
-    /// without AVX2).
     #[inline]
     fn min_sum_flooding_check(
         &self,
@@ -755,8 +782,8 @@ impl SyndromeDecoder {
         scratch: &mut DecoderScratch,
     ) -> DecodeOutcome {
         let clamp = self.config.llr_clamp;
-        let num_edges = self.edge_var.len();
-        let words = self.n.div_ceil(64);
+        let num_edges = self.edge_var().len();
+        let words = self.n().div_ceil(64);
         let DecoderScratch {
             v2c,
             c2v,
@@ -768,12 +795,12 @@ impl SyndromeDecoder {
         } = scratch;
         let v2c = &mut v2c[..num_edges];
         let c2v = &mut c2v[..num_edges];
-        let channel = &channel[..self.n];
+        let channel = &channel[..self.n()];
         let hard = &mut hard[..words];
         let target_words = target.as_words();
 
         // Variable-to-check messages start at the channel prior.
-        for (msg, &v) in v2c.iter_mut().zip(&self.edge_var) {
+        for (msg, &v) in v2c.iter_mut().zip(self.edge_var()) {
             *msg = channel[v as usize];
         }
 
@@ -782,9 +809,11 @@ impl SyndromeDecoder {
             // min-sum default runs the fused sweep; sum-product stages
             // through the kernel.
             if let CheckKernel::MinSum { scale } = self.kernel {
-                self.min_sum_flooding_sweep(scale, v2c, c2v, target_words);
+                for c in 0..self.m() {
+                    self.min_sum_flooding_check(c, scale, v2c, c2v, target_words);
+                }
             } else {
-                for c in 0..self.m {
+                for c in 0..self.m() {
                     let (s, e) = self.check_range(c);
                     let out = &mut c2v[s..e];
                     out.copy_from_slice(&v2c[s..e]);
@@ -797,11 +826,11 @@ impl SyndromeDecoder {
             for (v, &prior) in channel.iter().enumerate() {
                 let (s, e) = self.var_range(v);
                 let mut total = prior;
-                for &edge in &self.var_edge[s..e] {
+                for &edge in &self.var_edge()[s..e] {
                     total += c2v[edge as usize];
                 }
                 hard[v >> 6] |= u64::from(total < 0.0) << (v & 63);
-                for &edge in &self.var_edge[s..e] {
+                for &edge in &self.var_edge()[s..e] {
                     let edge = edge as usize;
                     v2c[edge] = clamp_sym(total - c2v[edge], clamp);
                 }
@@ -821,12 +850,8 @@ impl SyndromeDecoder {
         }
     }
 
-    /// Fused min-sum check sweep for the layered schedule: the extrinsic
-    /// inputs, the two-minimum/sign scan, the outgoing messages and the
-    /// posterior updates run in two passes per check instead of staging
-    /// through the generic kernel. Value-dependent choices are branchless
-    /// mask selects (the min-scan's data-dependent branches would otherwise
-    /// dominate the sweep); arithmetic is bit-identical to the reference.
+    /// Min-sum check sweep for the layered schedule over the CSR: AVX2 quads
+    /// where the schedule found them, the scalar per-check form elsewhere.
     fn min_sum_layered_sweep(
         &self,
         scale: f64,
@@ -836,21 +861,23 @@ impl SyndromeDecoder {
         inputs: &mut [f64],
         target_words: &[u64],
     ) {
+        // Bound once: behind the matrix's `Arc` the compiler would reload
+        // the slice headers for every check.
+        let csr = (self.check_offsets(), self.edge_var());
         #[cfg(target_arch = "x86_64")]
-        if !self.quad_sched.is_empty() {
-            for &entry in &self.quad_sched {
+        if let Sweep::Quads(schedule) = &self.sweep {
+            for &entry in schedule {
                 if entry & crate::simd::QUAD != 0 {
                     let c = (entry & !crate::simd::QUAD) as usize;
-                    let (s, e) = self.check_range(c);
                     // SAFETY: the schedule was built for this exact graph
                     // (quads are in-bounds, equal-degree, variable-disjoint)
                     // and only when AVX2 was detected at construction.
                     unsafe {
                         crate::simd::min_sum_layered_quad(
                             c,
-                            e - s,
-                            &self.check_offsets,
-                            &self.edge_var,
+                            (csr.0[c + 1] - csr.0[c]) as usize,
+                            csr.0,
+                            csr.1,
                             target_words,
                             scale,
                             clamp,
@@ -859,8 +886,10 @@ impl SyndromeDecoder {
                         );
                     }
                 } else {
-                    self.min_sum_layered_check(
-                        entry as usize,
+                    let c = entry as usize;
+                    Self::min_sum_layered_check(
+                        csr,
+                        c,
                         scale,
                         clamp,
                         c2v,
@@ -872,18 +901,22 @@ impl SyndromeDecoder {
             }
             return;
         }
-        for c in 0..self.m {
-            self.min_sum_layered_check(c, scale, clamp, c2v, posterior, inputs, target_words);
+        for c in 0..self.m() {
+            Self::min_sum_layered_check(csr, c, scale, clamp, c2v, posterior, inputs, target_words);
         }
     }
 
-    /// Scalar min-sum layered update of one check (the fused two-pass form
-    /// shared by the non-quad entries of the AVX2 schedule and by hosts
-    /// without AVX2).
+    /// Scalar min-sum layered update of one check: the extrinsic inputs and
+    /// the two-minimum/sign scan in one pass, the outgoing messages and the
+    /// posterior updates in a second, instead of staging through the generic
+    /// kernel. Value-dependent choices are branchless mask selects (the
+    /// min-scan's data-dependent branches would otherwise dominate the
+    /// sweep); arithmetic is bit-identical to the reference. This operation
+    /// sequence is what every lane of the vector sweeps reproduces.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn min_sum_layered_check(
-        &self,
+        (check_offsets, edge_var): (&[u32], &[u32]),
         c: usize,
         scale: f64,
         clamp: f64,
@@ -893,9 +926,9 @@ impl SyndromeDecoder {
         target_words: &[u64],
     ) {
         {
-            let (s, e) = self.check_range(c);
+            let (s, e) = (check_offsets[c] as usize, check_offsets[c + 1] as usize);
             let deg = e - s;
-            let vars = &self.edge_var[s..e];
+            let vars = &edge_var[s..e];
             let msgs = &mut c2v[s..e];
             let ins = &mut inputs[..deg];
             let mut min1 = f64::INFINITY;
@@ -934,8 +967,8 @@ impl SyndromeDecoder {
         scratch: &mut DecoderScratch,
     ) -> DecodeOutcome {
         let clamp = self.config.llr_clamp;
-        let num_edges = self.edge_var.len();
-        let words = self.n.div_ceil(64);
+        let num_edges = self.edge_var().len();
+        let words = self.n().div_ceil(64);
         let DecoderScratch {
             c2v,
             posterior,
@@ -947,7 +980,7 @@ impl SyndromeDecoder {
         } = scratch;
         let c2v = &mut c2v[..num_edges];
         // The caller seeded `posterior` with the channel priors.
-        let posterior = &mut posterior[..self.n];
+        let posterior = &mut posterior[..self.n()];
         let hard = &mut hard[..words];
         let target_words = target.as_words();
 
@@ -957,7 +990,7 @@ impl SyndromeDecoder {
             if let CheckKernel::MinSum { scale } = self.kernel {
                 self.min_sum_layered_sweep(scale, clamp, c2v, posterior, inputs, target_words);
             } else {
-                for c in 0..self.m {
+                for c in 0..self.m() {
                     let (s, e) = self.check_range(c);
                     let deg = e - s;
                     let ins = &mut inputs[..deg];
@@ -965,7 +998,7 @@ impl SyndromeDecoder {
                     // Extrinsic inputs: posterior minus this check's previous
                     // message, staged both into the input copy and in place.
                     for (k, o) in out.iter_mut().enumerate() {
-                        let v = self.edge_var[s + k] as usize;
+                        let v = self.edge_var()[s + k] as usize;
                         let x = (posterior[v] - *o).clamp(-clamp, clamp);
                         ins[k] = x;
                         *o = x;
@@ -973,7 +1006,7 @@ impl SyndromeDecoder {
                     self.kernel
                         .apply(out, Self::target_sign(target_words, c), sp);
                     for (k, o) in out.iter().enumerate() {
-                        let v = self.edge_var[s + k] as usize;
+                        let v = self.edge_var()[s + k] as usize;
                         posterior[v] = (ins[k] + *o).clamp(-clamp, clamp);
                     }
                 }
@@ -997,16 +1030,162 @@ impl SyndromeDecoder {
         }
     }
 
-    fn decode_flooding_reference(&self, target: &BitVec, channel: &[f64]) -> DecodeOutcome {
-        let num_edges = self.edge_var.len();
+    /// Layered min-sum over a circulant-layered matrix, a whole layer in
+    /// lockstep (see the module docs). The caller seeded `posterior` in the
+    /// [`BLOCK_STRIDE`] layout.
+    fn decode_layered_circulant(
+        &self,
+        scale: f64,
+        target: &BitVec,
+        scratch: &mut DecoderScratch,
+    ) -> DecodeOutcome {
         let clamp = self.config.llr_clamp;
-        // Variable-to-check messages, initialised with the channel prior.
-        let mut v2c: Vec<f64> = self.edge_var.iter().map(|&v| channel[v as usize]).collect();
-        let mut c2v = vec![0.0f64; num_edges];
-        let mut hard = BitVec::zeros(self.n);
+        let blocks = self.n() / LANES;
+        let c2v = &mut scratch.c2v[..self.matrix.num_edges()];
+        let posterior = &mut scratch.posterior[..blocks * BLOCK_STRIDE];
+        let stash = &mut scratch.inputs[..self.max_check_degree * LANES];
+        let hard = &mut scratch.hard[..blocks];
+        let syn = &mut scratch.syn[..self.m() / LANES];
+        let target_words = target.as_words();
+
+        c2v.fill(0.0);
 
         for iter in 1..=self.config.max_iterations {
-            for c in 0..self.m {
+            match self.sweep {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `avx2` is only set when AVX2 was detected; the
+                // kernels check every bound they rely on.
+                Sweep::Circulant { avx2: true } => unsafe {
+                    crate::simd::circulant_layered_sweep(
+                        self.check_offsets(),
+                        self.edge_var(),
+                        target_words,
+                        scale,
+                        clamp,
+                        c2v,
+                        posterior,
+                        stash,
+                    );
+                    crate::simd::pack_negative(posterior, hard);
+                },
+                _ => {
+                    self.circulant_layered_sweep(scale, clamp, c2v, posterior, stash, target_words);
+                    for (word, block) in hard.iter_mut().zip(posterior.chunks_exact(BLOCK_STRIDE)) {
+                        *word = block[..LANES]
+                            .iter()
+                            .enumerate()
+                            .fold(0, |w, (lane, &llr)| w | u64::from(llr < 0.0) << lane);
+                    }
+                }
+            }
+            self.matrix.syndrome_words(hard, syn);
+            if syn == target_words {
+                return DecodeOutcome {
+                    error_pattern: self.pattern_from_words(hard),
+                    converged: true,
+                    iterations: iter,
+                };
+            }
+        }
+        DecodeOutcome {
+            error_pattern: self.pattern_from_words(hard),
+            converged: false,
+            iterations: self.config.max_iterations,
+        }
+    }
+
+    /// Portable circulant-lane sweep: [`Self::min_sum_layered_check`] for the
+    /// 64 checks of a layer at once, lane `i` being check `layer·64 + i`.
+    /// Edge `k` of the layer, with base entry `v_k`, pairs lane `i` with
+    /// variable `(i + s_k) mod 64` of block `v_k >> 6` — a rotation of the
+    /// block by `s_k = v_k & 63` — and keeps its messages at
+    /// `c2v[layer start + k·64 + i]`; `stash` holds the layer's extrinsic
+    /// inputs in the same `[k][lane]` order.
+    fn circulant_layered_sweep(
+        &self,
+        scale: f64,
+        clamp: f64,
+        c2v: &mut [f64],
+        posterior: &mut [f64],
+        stash: &mut [f64],
+        target_words: &[u64],
+    ) {
+        let offsets = self.check_offsets();
+        let mut rotated = [0.0f64; LANES];
+        for (layer, &target) in target_words.iter().enumerate() {
+            let start = offsets[layer * LANES] as usize;
+            let base = &self.edge_var()[start..offsets[layer * LANES + 1] as usize];
+            let msgs = &mut c2v[start..start + base.len() * LANES];
+            let mut min1 = [f64::INFINITY; LANES];
+            let mut min2 = [f64::INFINITY; LANES];
+            let mut min1_idx = [0usize; LANES];
+            let mut neg = [false; LANES];
+            for (k, &v) in base.iter().enumerate() {
+                let block = &posterior[v as usize / LANES * BLOCK_STRIDE..][..LANES];
+                let shift = v as usize % LANES;
+                rotated[..LANES - shift].copy_from_slice(&block[shift..]);
+                rotated[LANES - shift..].copy_from_slice(&block[..shift]);
+                let lanes = k * LANES..(k + 1) * LANES;
+                for (i, (x, &msg)) in stash[lanes.clone()]
+                    .iter_mut()
+                    .zip(&msgs[lanes])
+                    .enumerate()
+                {
+                    let val = clamp_sym(rotated[i] - msg, clamp);
+                    *x = val;
+                    let a = val.abs();
+                    let is_new_min = a < min1[i];
+                    let runner_up = sel(is_new_min, min1[i], a);
+                    min2[i] = sel(runner_up < min2[i], runner_up, min2[i]);
+                    min1[i] = sel(is_new_min, a, min1[i]);
+                    min1_idx[i] = sel_idx(is_new_min, k, min1_idx[i]);
+                    neg[i] ^= val < 0.0;
+                }
+            }
+            // A layer has degree >= 2, so both minima are finite.
+            let mut mag1 = [0.0f64; LANES];
+            let mut mag2 = [0.0f64; LANES];
+            for i in 0..LANES {
+                let sign_target = if (target >> i) & 1 == 1 { -1.0 } else { 1.0 };
+                let signed_scale = flip_if(sign_target * scale, neg[i]);
+                mag1[i] = signed_scale * min1[i];
+                mag2[i] = signed_scale * min2[i];
+            }
+            for (k, &v) in base.iter().enumerate() {
+                let lanes = k * LANES..(k + 1) * LANES;
+                for (i, (msg, &x)) in msgs[lanes.clone()]
+                    .iter_mut()
+                    .zip(&stash[lanes])
+                    .enumerate()
+                {
+                    let mag = sel(k == min1_idx[i], mag2[i], mag1[i]);
+                    let out = flip_if(mag, x < 0.0);
+                    *msg = out;
+                    rotated[i] = clamp_sym(x + out, clamp);
+                }
+                let block = &mut posterior[v as usize / LANES * BLOCK_STRIDE..][..BLOCK_STRIDE];
+                let shift = v as usize % LANES;
+                block[shift..LANES].copy_from_slice(&rotated[..LANES - shift]);
+                block[..shift].copy_from_slice(&rotated[LANES - shift..]);
+                block.copy_within(..MIRROR, LANES);
+            }
+        }
+    }
+
+    fn decode_flooding_reference(&self, target: &BitVec, channel: &[f64]) -> DecodeOutcome {
+        let num_edges = self.edge_var().len();
+        let clamp = self.config.llr_clamp;
+        // Variable-to-check messages, initialised with the channel prior.
+        let mut v2c: Vec<f64> = self
+            .edge_var()
+            .iter()
+            .map(|&v| channel[v as usize])
+            .collect();
+        let mut c2v = vec![0.0f64; num_edges];
+        let mut hard = BitVec::zeros(self.n());
+
+        for iter in 1..=self.config.max_iterations {
+            for c in 0..self.m() {
                 let (s, e) = self.check_range(c);
                 let sign_target = if target.get(c) { -1.0 } else { 1.0 };
                 let mut buf: Vec<f64> = v2c[s..e].to_vec();
@@ -1016,11 +1195,11 @@ impl SyndromeDecoder {
             for (v, &prior) in channel.iter().enumerate() {
                 let (s, e) = self.var_range(v);
                 let mut total = prior;
-                for &edge in &self.var_edge[s..e] {
+                for &edge in &self.var_edge()[s..e] {
                     total += c2v[edge as usize];
                 }
                 hard.set(v, total < 0.0);
-                for &edge in &self.var_edge[s..e] {
+                for &edge in &self.var_edge()[s..e] {
                     let edge = edge as usize;
                     v2c[edge] = (total - c2v[edge]).clamp(-clamp, clamp);
                 }
@@ -1041,27 +1220,27 @@ impl SyndromeDecoder {
     }
 
     fn decode_layered_reference(&self, target: &BitVec, channel: &[f64]) -> DecodeOutcome {
-        let num_edges = self.edge_var.len();
+        let num_edges = self.edge_var().len();
         let clamp = self.config.llr_clamp;
         let mut posterior: Vec<f64> = channel.to_vec();
         let mut c2v = vec![0.0f64; num_edges];
-        let mut hard = BitVec::zeros(self.n);
+        let mut hard = BitVec::zeros(self.n());
 
         for iter in 1..=self.config.max_iterations {
-            for c in 0..self.m {
+            for c in 0..self.m() {
                 let (s, e) = self.check_range(c);
                 let sign_target = if target.get(c) { -1.0 } else { 1.0 };
                 // Extrinsic inputs: posterior minus this check's previous
                 // message.
                 let mut buf: Vec<f64> = (s..e)
                     .map(|edge| {
-                        (posterior[self.edge_var[edge] as usize] - c2v[edge]).clamp(-clamp, clamp)
+                        (posterior[self.edge_var()[edge] as usize] - c2v[edge]).clamp(-clamp, clamp)
                     })
                     .collect();
                 let inputs = buf.clone();
                 self.kernel.apply_alloc(&mut buf, sign_target);
                 for (k, edge) in (s..e).enumerate() {
-                    posterior[self.edge_var[edge] as usize] =
+                    posterior[self.edge_var()[edge] as usize] =
                         (inputs[k] + buf[k]).clamp(-clamp, clamp);
                     c2v[edge] = buf[k];
                 }
@@ -1091,7 +1270,7 @@ impl SyndromeDecoder {
     /// weight is a few percent of the block, so this touches a small
     /// fraction of the edges a full check-major parity sweep would.
     fn syndrome_ok_packed(&self, hard: &[u64], target_words: &[u64], syn: &mut [u64]) -> bool {
-        let syn = &mut syn[..self.m.div_ceil(64)];
+        let syn = &mut syn[..self.m().div_ceil(64)];
         syn.fill(0);
         for (wi, &word) in hard.iter().enumerate() {
             let mut w = word;
@@ -1099,7 +1278,7 @@ impl SyndromeDecoder {
                 let v = (wi << 6) + w.trailing_zeros() as usize;
                 w &= w - 1;
                 let (s, e) = self.var_range(v);
-                for &c in &self.var_check[s..e] {
+                for &c in &self.matrix.var_check()[s..e] {
                     syn[(c >> 6) as usize] ^= 1u64 << (c & 63);
                 }
             }
@@ -1109,11 +1288,11 @@ impl SyndromeDecoder {
 
     /// Bit-by-bit convergence check retained for the reference path.
     fn syndrome_ok_reference(&self, e: &BitVec, target: &BitVec) -> bool {
-        for c in 0..self.m {
+        for c in 0..self.m() {
             let (s, end) = self.check_range(c);
             let mut p = false;
             for edge in s..end {
-                p ^= e.get(self.edge_var[edge] as usize);
+                p ^= e.get(self.edge_var()[edge] as usize);
             }
             if p != target.get(c) {
                 return false;
@@ -1126,6 +1305,9 @@ impl SyndromeDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Construction;
+    use crate::reconciler::ReconcilerConfig;
+    use qkd_types::key::binary_entropy;
     use qkd_types::rng::derive_rng;
     use rand::Rng;
 
@@ -1367,47 +1549,158 @@ mod tests {
         }
     }
 
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// The min-sum flooding scratch path — which dispatches the AVX2
-            /// quad kernel on hosts that have it — must stay bit-identical
-            /// to the all-scalar reference decoder over random codes, error
-            /// densities and LLR overrides (the layered analogue of this
-            /// guarantee is covered by
-            /// `scratch_path_is_bit_identical_to_reference`).
-            #[test]
-            fn flooding_quad_kernel_is_bit_identical_to_scalar(
-                seed in any::<u64>(),
-                n_exp in 8u32..12,
-                true_qber in 0.005f64..0.10,
-                overrides in 0usize..32,
-            ) {
-                let n = 1usize << n_exp;
-                let h = setup(n, 0.5, seed % 1000);
-                let mut rng = derive_rng(seed, "flooding-quad-equiv");
-                let truth = random_error(&mut rng, h.num_vars(), true_qber);
-                let syndrome = h.syndrome(&truth);
-                let config = DecoderConfig {
-                    schedule: Schedule::Flooding,
-                    max_iterations: 30,
-                    ..DecoderConfig::default()
-                };
-                let dec = SyndromeDecoder::new(&h, config).unwrap();
-                let pins: Vec<(usize, f64)> =
-                    (0..overrides).map(|v| (v, 25.0)).collect();
-                let mut scratch = DecoderScratch::new();
-                let reference =
-                    dec.decode_reference(&syndrome, 0.03, &pins).unwrap();
-                let optimized = dec
-                    .decode_with_scratch(&syndrome, 0.03, &pins, &mut scratch)
-                    .unwrap();
-                prop_assert_eq!(reference, optimized);
+    /// Decodes on every path a circulant-layered matrix has — the sweep
+    /// `new` dispatched, the portable circulant-lane sweep, the per-check
+    /// CSR sweep — and on the reference, and demands one outcome (error
+    /// pattern, convergence flag, iteration count).
+    fn decode_on_every_path(
+        dec: &SyndromeDecoder,
+        target: &BitVec,
+        qber: f64,
+        overrides: &[(usize, f64)],
+        scratch: &mut DecoderScratch,
+    ) -> DecodeOutcome {
+        let reference = dec.decode_reference(target, qber, overrides).unwrap();
+        for sweep in [
+            dec.sweep.clone(),
+            Sweep::Circulant { avx2: false },
+            Sweep::Scalar,
+        ] {
+            if sweep.is_circulant() && !dec.matrix.is_circulant_layered() {
+                continue;
             }
+            let path = SyndromeDecoder {
+                sweep,
+                ..dec.clone()
+            };
+            let out = path
+                .decode_with_scratch(target, qber, overrides, scratch)
+                .unwrap();
+            assert_eq!(out, reference, "{:?} diverged", path.sweep);
+        }
+        reference
+    }
+
+    /// The inputs bit-identity can break on: a full-length block, a
+    /// shortened one (LLR-30 overrides), a non-converging one, and the
+    /// all-zero and all-one target words.
+    fn exercise_every_path(h: &ParityCheckMatrix, qber: f64, scratch: &mut DecoderScratch) {
+        let n = h.num_vars();
+        let dec = SyndromeDecoder::new(h, DecoderConfig::default()).unwrap();
+        let mut rng = derive_rng(n as u64, "decoder-paths");
+
+        let truth = random_error(&mut rng, n, qber);
+        let out = decode_on_every_path(&dec, &h.syndrome(&truth), qber, &[], scratch);
+        assert!(out.converged && out.error_pattern == truth);
+
+        let payload = n - n / 10;
+        let mut shortened = random_error(&mut rng, n, qber);
+        let overrides: Vec<(usize, f64)> = (payload..n).map(|v| (v, 30.0)).collect();
+        for &(v, _) in &overrides {
+            shortened.set(v, false);
+        }
+        let out = decode_on_every_path(&dec, &h.syndrome(&shortened), qber, &overrides, scratch);
+        assert!(out.converged && out.error_pattern == shortened);
+
+        let noisy = random_error(&mut rng, n, 0.25);
+        let out = decode_on_every_path(&dec, &h.syndrome(&noisy), qber, &[], scratch);
+        assert!(!out.converged);
+        assert_eq!(out.iterations, dec.config.max_iterations);
+
+        let out = decode_on_every_path(&dec, &BitVec::zeros(h.num_checks()), qber, &[], scratch);
+        assert!(out.converged && out.error_pattern.count_ones() == 0);
+        decode_on_every_path(&dec, &BitVec::ones(h.num_checks()), qber, &[], scratch);
+    }
+
+    #[test]
+    fn circulant_lane_sweep_is_bit_identical_on_every_library_code() {
+        let mut scratch = DecoderScratch::new();
+        let library = ReconcilerConfig::for_block_size(16_384);
+        for (i, &rate) in library.rates.iter().enumerate() {
+            let h = ParityCheckMatrix::for_rate(16_384, rate, library.seed + i as u64).unwrap();
+            let dec = SyndromeDecoder::new(&h, library.decoder).unwrap();
+            assert!(dec.sweep.is_circulant(), "rate {rate} fell back to the CSR");
+            // An error rate the code corrects: h(q) = (1 - R) / 1.6.
+            let mut qber = 0.002;
+            while binary_entropy(qber + 0.002) * 1.6 <= 1.0 - rate {
+                qber += 0.002;
+            }
+            exercise_every_path(&h, qber, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn circulant_lane_sweep_is_bit_identical_on_small_layered_codes() {
+        use crate::matrix::tests::{layered_rows, random_layers};
+        let mut scratch = DecoderScratch::new();
+        for (seed, blocks, layers) in [(1u64, 9usize, 3usize), (2, 12, 5), (3, 6, 4)] {
+            let h = ParityCheckMatrix::from_rows(
+                blocks * LANES,
+                layers * LANES,
+                &layered_rows(&random_layers(seed, blocks, layers)),
+                Construction::QuasiCyclic { circulant: LANES },
+            );
+            assert!(h.is_circulant_layered());
+            let dec = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
+            let mut rng = derive_rng(seed, "small-layered");
+            for true_qber in [0.005, 0.03, 0.2] {
+                let truth = random_error(&mut rng, h.num_vars(), true_qber);
+                let pins: Vec<(usize, f64)> = (0..70).step_by(3).map(|v| (v, -4.0)).collect();
+                decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &pins, &mut scratch);
+            }
+        }
+        let h = ParityCheckMatrix::quasi_cyclic(1024, 256, 64, 8, 6).unwrap();
+        exercise_every_path(&h, 0.01, &mut scratch);
+    }
+
+    /// Matrices that miss the structure by a hair keep the CSR sweeps and
+    /// decode exactly as the reference does.
+    #[test]
+    fn unstructured_matrices_fall_back_and_decode_identically() {
+        use crate::matrix::tests::layered_rows;
+        let layers = vec![
+            vec![(0, 0), (2, 63), (3, 17), (5, 9)],
+            vec![(1, 5), (2, 40), (4, 1), (5, 33)],
+            vec![(0, 21), (1, 62), (3, 3), (4, 50)],
+        ];
+        let mut moved = layered_rows(&layers);
+        moved[70][1] ^= 1;
+        let mut repeated = layers.clone();
+        repeated[0][2].0 = 2;
+        let mut thin = layers.clone();
+        thin[1].truncate(1);
+        let mut scratch = DecoderScratch::new();
+        for h in [
+            ParityCheckMatrix::peg(384, 192, 3, 4).unwrap(),
+            ParityCheckMatrix::from_rows(384, 192, &moved, Construction::Peg),
+            ParityCheckMatrix::from_rows(384, 192, &layered_rows(&repeated), Construction::Peg),
+            ParityCheckMatrix::from_rows(384, 192, &layered_rows(&thin), Construction::Peg),
+        ] {
+            assert!(!h.is_circulant_layered());
+            let dec = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
+            assert!(!dec.sweep.is_circulant());
+            let mut rng = derive_rng(6, "fallback");
+            for true_qber in [0.01, 0.1] {
+                let truth = random_error(&mut rng, 384, true_qber);
+                decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &[], &mut scratch);
+            }
+        }
+    }
+
+    /// The two layouts one scratch holds in turn (blocks with mirrors for a
+    /// circulant-layered code, flat for a PEG code) do not leak into each
+    /// other.
+    #[test]
+    fn scratch_reuse_across_structured_and_unstructured_codes_is_safe() {
+        let mut scratch = DecoderScratch::new();
+        let large = setup(16_384, 0.75, 3);
+        let small = setup(4096, 0.75, 4);
+        for h in [&large, &small, &large] {
+            let dec = SyndromeDecoder::new(h, DecoderConfig::default()).unwrap();
+            let mut rng = derive_rng(36, "decoder-mixed");
+            let truth = random_error(&mut rng, h.num_vars(), 0.02);
+            let out = decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &[], &mut scratch);
+            assert!(out.converged);
         }
     }
 

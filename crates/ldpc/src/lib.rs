@@ -9,10 +9,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`matrix`] — sparse parity-check matrices with progressive-edge-growth
-//!   (PEG) and quasi-cyclic constructions;
+//! * [`matrix`] — sparse parity-check matrices (one flat, shared CSR) with
+//!   progressive-edge-growth (PEG) and quasi-cyclic constructions, the latter
+//!   recognised as circulant layers with rotate-XOR syndromes;
 //! * [`decoder`] — belief-propagation syndrome decoders (sum-product and
-//!   normalised min-sum, flooding and layered schedules);
+//!   normalised min-sum, flooding and layered schedules), with a
+//!   circulant-lane layered min-sum sweep for the quasi-cyclic codes;
 //! * [`reconciler`] — the rate-adaptive reconciliation protocol with a code
 //!   library, shortening-based fine rate adaptation and leakage accounting.
 //!

@@ -1,5 +1,7 @@
 //! Sparse parity-check matrices and their construction.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -20,76 +22,143 @@ pub enum Construction {
     },
 }
 
-/// A sparse binary parity-check matrix in adjacency form.
+/// Circulant size the structured kernels are built for: one `u64` word, so a
+/// circulant shift is a word rotate and a layer's target-syndrome signs are
+/// one word.
+pub(crate) const LANES: usize = 64;
+
+/// A sparse binary parity-check matrix.
 ///
-/// Both orientations of the bipartite Tanner graph are stored: the variable
-/// indices of every check row (`check_to_var`) and the check indices of every
-/// variable column (`var_to_check`). Decoders index messages by *edge id*,
-/// which is the position of the entry in the flattened check-major edge list.
+/// The bipartite Tanner graph is stored once, flat and `u32`-indexed, in both
+/// orientations: a check-major CSR (`check_offsets` / `edge_var`) and the
+/// variable-major map derived from it (`var_offsets` / `var_check` /
+/// `var_edge`, filled in edge order). Decoders index messages by *edge id*,
+/// the position of an entry in the check-major edge list. The graph sits
+/// behind an [`Arc`], so cloning a matrix — and binding a decoder to it —
+/// shares the arrays instead of copying them.
 ///
-/// Syndrome computation is word-packed: construction precomputes, per check,
-/// the 64-bit words its variables fall into and a parity mask per word, so
-/// [`ParityCheckMatrix::syndrome`] reads whole words of the codeword instead
-/// of walking it bit by bit.
+/// Construction also settles how syndromes are computed. A matrix whose
+/// checks form *layers* of [`LANES`] rows lifted from one base row by cyclic
+/// shifts (what [`ParityCheckMatrix::quasi_cyclic`] builds at circulant 64)
+/// is recognised edge by edge, and its syndrome word `l` is then
+/// `XOR_k rotate_right(x.words[bc_k], s_k)` over the layer's `(bc, s)` pairs.
+/// Every other matrix gets word-packed parity masks: per check, the 64-bit
+/// words its variables fall into and a parity mask per word.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParityCheckMatrix {
+    graph: Arc<Graph>,
+}
+
+#[derive(Debug, PartialEq)]
+struct Graph {
     n: usize,
     m: usize,
-    check_to_var: Vec<Vec<usize>>,
-    var_to_check: Vec<Vec<usize>>,
     construction: Construction,
-    /// Word-packed parity masks: check `c` covers entries
-    /// `mask_offsets[c]..mask_offsets[c + 1]` of (`mask_word`, `mask_bits`).
-    /// A deterministic function of `check_to_var`, rebuilt by every
-    /// constructor.
-    mask_word: Vec<u32>,
-    mask_bits: Vec<u64>,
-    mask_offsets: Vec<u32>,
+    /// Start of each check's edges in `edge_var` (length `m + 1`).
+    check_offsets: Vec<u32>,
+    /// Check-major variable indices, one per edge, every entry `< n`.
+    edge_var: Vec<u32>,
+    /// Start of each variable's entries in `var_check`/`var_edge` (length
+    /// `n + 1`).
+    var_offsets: Vec<u32>,
+    /// Variable-major check ids, in edge order.
+    var_check: Vec<u32>,
+    /// Variable-major edge ids, parallel to `var_check`.
+    var_edge: Vec<u32>,
+    /// `None` for a circulant-layered matrix (rotate-XOR syndromes).
+    masks: Option<ParityMasks>,
+}
+
+/// Word-packed parity masks: check `c` covers entries
+/// `offsets[c]..offsets[c + 1]` of (`word`, `bits`).
+#[derive(Debug, PartialEq)]
+struct ParityMasks {
+    word: Vec<u32>,
+    bits: Vec<u64>,
+    offsets: Vec<u32>,
 }
 
 impl ParityCheckMatrix {
     /// Number of variable nodes (codeword length).
     pub fn num_vars(&self) -> usize {
-        self.n
+        self.graph.n
     }
 
     /// Number of check nodes (syndrome length).
     pub fn num_checks(&self) -> usize {
-        self.m
+        self.graph.m
     }
 
     /// Design rate `1 - m/n`.
     pub fn rate(&self) -> f64 {
-        1.0 - self.m as f64 / self.n as f64
+        1.0 - self.graph.m as f64 / self.graph.n as f64
     }
 
     /// Total number of edges in the Tanner graph.
     pub fn num_edges(&self) -> usize {
-        self.check_to_var.iter().map(Vec::len).sum()
+        self.graph.edge_var.len()
     }
 
-    /// Variable neighbours of check `c`.
-    pub fn check_neighbors(&self, c: usize) -> &[usize] {
-        &self.check_to_var[c]
+    /// Variable neighbours of check `c`, in edge order.
+    pub fn check_neighbors(&self, c: usize) -> &[u32] {
+        let g = &*self.graph;
+        &g.edge_var[g.check_offsets[c] as usize..g.check_offsets[c + 1] as usize]
     }
 
-    /// Check neighbours of variable `v`.
-    pub fn var_neighbors(&self, v: usize) -> &[usize] {
-        &self.var_to_check[v]
+    /// Check neighbours of variable `v`, ascending.
+    pub fn var_neighbors(&self, v: usize) -> &[u32] {
+        let g = &*self.graph;
+        &g.var_check[g.var_offsets[v] as usize..g.var_offsets[v + 1] as usize]
     }
 
     /// The construction used to build this matrix.
     pub fn construction(&self) -> Construction {
-        self.construction
+        self.graph.construction
     }
 
-    /// Computes the syndrome `H x` with the word-packed parity masks.
+    /// Check-major CSR offsets (length `num_checks() + 1`).
+    pub(crate) fn check_offsets(&self) -> &[u32] {
+        &self.graph.check_offsets
+    }
+
+    /// Check-major variable indices, one per edge, every entry
+    /// `< num_vars()`.
+    pub(crate) fn edge_var(&self) -> &[u32] {
+        &self.graph.edge_var
+    }
+
+    /// Variable-major CSR offsets (length `num_vars() + 1`).
+    pub(crate) fn var_offsets(&self) -> &[u32] {
+        &self.graph.var_offsets
+    }
+
+    /// Variable-major check ids, in edge order.
+    pub(crate) fn var_check(&self) -> &[u32] {
+        &self.graph.var_check
+    }
+
+    /// Variable-major edge ids, parallel to [`Self::var_check`].
+    pub(crate) fn var_edge(&self) -> &[u32] {
+        &self.graph.var_edge
+    }
+
+    /// Whether the checks form circulant layers: `n` and `m` are multiples
+    /// of [`LANES`] and, for every layer `l` with base row
+    /// `edge_var[check_offsets[l·64]..]` of degree `d >= 2`, check `l·64 + i`
+    /// touches variable `(v_k & !63) | ((v_k + i) & 63)` in position `k`, the
+    /// base columns `v_k >> 6` being distinct within the layer. The 64 checks
+    /// of a layer are then pairwise variable-disjoint.
+    pub(crate) fn is_circulant_layered(&self) -> bool {
+        self.graph.masks.is_none()
+    }
+
+    /// Computes the syndrome `H x`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != num_vars()`.
     pub fn syndrome(&self, x: &BitVec) -> BitVec {
-        let mut s = BitVec::zeros(self.m);
+        let mut s = BitVec::zeros(self.graph.m);
         self.syndrome_into(x, &mut s);
         s
     }
@@ -104,29 +173,52 @@ impl ParityCheckMatrix {
     pub fn syndrome_into(&self, x: &BitVec, out: &mut BitVec) {
         assert_eq!(
             x.len(),
-            self.n,
+            self.graph.n,
             "codeword length must equal the number of variables"
         );
-        out.reset_zeros(self.m);
-        let words = x.as_words();
-        let out_words = out.as_words_mut();
-        for c in 0..self.m {
-            let (s, e) = (
-                self.mask_offsets[c] as usize,
-                self.mask_offsets[c + 1] as usize,
-            );
-            // popcount(a) + popcount(b) ≡ popcount(a ^ b) (mod 2), so the
-            // masked words fold with XOR before a single popcount.
-            let mut acc = 0u64;
-            for k in s..e {
-                acc ^= words[self.mask_word[k] as usize] & self.mask_bits[k];
+        out.reset_zeros(self.graph.m);
+        self.syndrome_words(x.as_words(), out.as_words_mut());
+    }
+
+    /// Word-level syndrome: `x` holds the `num_vars()` codeword bits packed
+    /// (tail bits zero), `out` receives the `num_checks()` syndrome bits
+    /// packed (every word overwritten, tail bits zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice is not exactly the packed length.
+    pub(crate) fn syndrome_words(&self, x: &[u64], out: &mut [u64]) {
+        let g = &*self.graph;
+        assert_eq!(x.len(), g.n.div_ceil(64), "packed codeword length");
+        assert_eq!(out.len(), g.m.div_ceil(64), "packed syndrome length");
+        match &g.masks {
+            None => {
+                for (layer, word) in out.iter_mut().enumerate() {
+                    *word = self
+                        .check_neighbors(layer * LANES)
+                        .iter()
+                        .fold(0, |acc, &v| acc ^ x[(v >> 6) as usize].rotate_right(v & 63));
+                }
             }
-            out_words[c >> 6] |= u64::from(acc.count_ones() & 1) << (c & 63);
+            Some(masks) => {
+                out.fill(0);
+                for c in 0..g.m {
+                    let (s, e) = (masks.offsets[c] as usize, masks.offsets[c + 1] as usize);
+                    // popcount(a) + popcount(b) ≡ popcount(a ^ b) (mod 2), so
+                    // the masked words fold with XOR before a single
+                    // popcount.
+                    let mut acc = 0u64;
+                    for k in s..e {
+                        acc ^= x[masks.word[k] as usize] & masks.bits[k];
+                    }
+                    out[c >> 6] |= u64::from(acc.count_ones() & 1) << (c & 63);
+                }
+            }
         }
     }
 
     /// Bit-by-bit syndrome computation, retained as the reference the packed
-    /// implementation is property-tested against.
+    /// implementations are property-tested against.
     ///
     /// # Panics
     ///
@@ -134,14 +226,14 @@ impl ParityCheckMatrix {
     pub fn syndrome_reference(&self, x: &BitVec) -> BitVec {
         assert_eq!(
             x.len(),
-            self.n,
+            self.graph.n,
             "codeword length must equal the number of variables"
         );
-        let mut s = BitVec::zeros(self.m);
-        for (c, vars) in self.check_to_var.iter().enumerate() {
+        let mut s = BitVec::zeros(self.graph.m);
+        for c in 0..self.graph.m {
             let mut p = false;
-            for &v in vars {
-                p ^= x.get(v);
+            for &v in self.check_neighbors(c) {
+                p ^= x.get(v as usize);
             }
             if p {
                 s.set(c, true);
@@ -158,7 +250,7 @@ impl ParityCheckMatrix {
     pub fn syndrome_matches(&self, e: &BitVec, target: &BitVec) -> bool {
         assert_eq!(
             target.len(),
-            self.m,
+            self.graph.m,
             "target syndrome length must equal the number of checks"
         );
         self.syndrome(e) == *target
@@ -166,12 +258,12 @@ impl ParityCheckMatrix {
 
     /// Average variable-node degree.
     pub fn avg_var_degree(&self) -> f64 {
-        self.num_edges() as f64 / self.n as f64
+        self.num_edges() as f64 / self.graph.n as f64
     }
 
     /// Average check-node degree.
     pub fn avg_check_degree(&self) -> f64 {
-        self.num_edges() as f64 / self.m as f64
+        self.num_edges() as f64 / self.graph.m as f64
     }
 
     /// Builds a matrix with the progressive-edge-growth (PEG) algorithm.
@@ -214,13 +306,7 @@ impl ParityCheckMatrix {
             }
         }
 
-        Ok(Self::from_adjacency(
-            n,
-            m,
-            check_to_var,
-            var_to_check,
-            Construction::Peg,
-        ))
+        Ok(Self::from_rows(n, m, &check_to_var, Construction::Peg))
     }
 
     /// Builds a quasi-cyclic matrix from a random protograph.
@@ -296,7 +382,6 @@ impl ParityCheckMatrix {
         }
 
         let mut check_to_var: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut var_to_check: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (br, cols) in base.iter().enumerate() {
             for &bc in cols {
                 let shift = rng.gen_range(0..circulant);
@@ -304,62 +389,87 @@ impl ParityCheckMatrix {
                     let check = br * circulant + i;
                     let var = bc * circulant + (i + shift) % circulant;
                     check_to_var[check].push(var);
-                    var_to_check[var].push(check);
                 }
             }
         }
 
-        Ok(Self::from_adjacency(
+        Ok(Self::from_rows(
             n,
             m,
-            check_to_var,
-            var_to_check,
+            &check_to_var,
             Construction::QuasiCyclic { circulant },
         ))
     }
 
-    /// Finishes a construction: stores the adjacency and precomputes the
-    /// word-packed parity masks. Duplicate entries in a row (none in the
-    /// standard constructions) cancel in GF(2), so masks are XOR-merged.
-    fn from_adjacency(
+    /// Finishes a construction from its check rows (`rows[c]` lists the
+    /// variables of check `c` in edge order): flattens them into the shared
+    /// `u32` CSR, derives the variable-major map, and settles the syndrome
+    /// form — rotate-XOR when the rows are circulant layers, word-packed
+    /// parity masks otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != m`, a variable index is `>= n`, or the graph
+    /// does not fit `u32` indices.
+    pub(crate) fn from_rows(
         n: usize,
         m: usize,
-        check_to_var: Vec<Vec<usize>>,
-        var_to_check: Vec<Vec<usize>>,
+        rows: &[Vec<usize>],
         construction: Construction,
     ) -> Self {
-        let num_edges: usize = check_to_var.iter().map(Vec::len).sum();
-        let mut mask_word = Vec::with_capacity(num_edges);
-        let mut mask_bits = Vec::with_capacity(num_edges);
-        let mut mask_offsets = Vec::with_capacity(m + 1);
-        mask_offsets.push(0u32);
-        let mut entries: Vec<(u32, u64)> = Vec::new();
-        for vars in &check_to_var {
-            entries.clear();
-            for &v in vars {
-                entries.push(((v >> 6) as u32, 1u64 << (v & 63)));
+        assert_eq!(rows.len(), m, "one row per check");
+        let num_edges: usize = rows.iter().map(Vec::len).sum();
+        assert!(
+            n.max(m).max(num_edges) < u32::MAX as usize,
+            "graph exceeds u32 indexing"
+        );
+        let mut check_offsets = Vec::with_capacity(m + 1);
+        let mut edge_var = Vec::with_capacity(num_edges);
+        let mut var_offsets = vec![0u32; n + 1];
+        check_offsets.push(0u32);
+        for row in rows {
+            for &v in row {
+                assert!(v < n, "variable {v} out of range for {n} variables");
+                edge_var.push(v as u32);
+                var_offsets[v + 1] += 1;
             }
-            entries.sort_unstable_by_key(|&(word, _)| word);
-            let row_start = mask_word.len();
-            for &(word, bit) in &entries {
-                if mask_word.len() > row_start && *mask_word.last().expect("non-empty") == word {
-                    *mask_bits.last_mut().expect("words and bits move together") ^= bit;
-                } else {
-                    mask_word.push(word);
-                    mask_bits.push(bit);
-                }
-            }
-            mask_offsets.push(mask_word.len() as u32);
+            check_offsets.push(edge_var.len() as u32);
         }
+        for v in 0..n {
+            var_offsets[v + 1] += var_offsets[v];
+        }
+
+        // Variable-major map, filled in edge order so per-variable message
+        // sums run in the same order as the check-major sweep.
+        let mut cursor: Vec<u32> = var_offsets[..n].to_vec();
+        let mut var_check = vec![0u32; num_edges];
+        let mut var_edge = vec![0u32; num_edges];
+        for c in 0..m {
+            for edge in check_offsets[c]..check_offsets[c + 1] {
+                let slot = &mut cursor[edge_var[edge as usize] as usize];
+                var_check[*slot as usize] = c as u32;
+                var_edge[*slot as usize] = edge;
+                *slot += 1;
+            }
+        }
+
+        let masks = if circulant_layered(n, m, &check_offsets, &edge_var) {
+            None
+        } else {
+            Some(ParityMasks::build(&check_offsets, &edge_var))
+        };
         Self {
-            n,
-            m,
-            check_to_var,
-            var_to_check,
-            construction,
-            mask_word,
-            mask_bits,
-            mask_offsets,
+            graph: Arc::new(Graph {
+                n,
+                m,
+                construction,
+                check_offsets,
+                edge_var,
+                var_offsets,
+                var_check,
+                var_edge,
+                masks,
+            }),
         }
     }
 
@@ -390,6 +500,74 @@ impl ParityCheckMatrix {
             Self::quasi_cyclic(n_pad, m_pad, circulant, row_weight, seed)
         } else {
             Self::peg(n, m, 3, seed)
+        }
+    }
+}
+
+/// The edge-by-edge test behind [`ParityCheckMatrix::is_circulant_layered`].
+fn circulant_layered(n: usize, m: usize, check_offsets: &[u32], edge_var: &[u32]) -> bool {
+    if n % LANES != 0 || m % LANES != 0 {
+        return false;
+    }
+    let row = |c: usize| &edge_var[check_offsets[c] as usize..check_offsets[c + 1] as usize];
+    // Layer (+1) that last used each base column.
+    let mut used_by = vec![0u32; n / LANES];
+    for layer in 0..m / LANES {
+        let base = row(layer * LANES);
+        if base.len() < 2 {
+            return false;
+        }
+        for &v in base {
+            let stamp = &mut used_by[v as usize / LANES];
+            if *stamp == layer as u32 + 1 {
+                return false;
+            }
+            *stamp = layer as u32 + 1;
+        }
+        for i in 1..LANES {
+            let lifted = base.iter().map(|&v| (v & !63) | ((v + i as u32) & 63));
+            if !row(layer * LANES + i).iter().copied().eq(lifted) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+impl ParityMasks {
+    /// Duplicate entries in a row (none in the standard constructions)
+    /// cancel in GF(2), so masks are XOR-merged.
+    fn build(check_offsets: &[u32], edge_var: &[u32]) -> Self {
+        let mut word = Vec::with_capacity(edge_var.len());
+        let mut bits = Vec::with_capacity(edge_var.len());
+        let mut offsets = Vec::with_capacity(check_offsets.len());
+        offsets.push(0u32);
+        let mut entries: Vec<(u32, u64)> = Vec::new();
+        for range in check_offsets.windows(2) {
+            entries.clear();
+            entries.extend(
+                edge_var[range[0] as usize..range[1] as usize]
+                    .iter()
+                    .map(|&v| (v >> 6, 1u64 << (v & 63))),
+            );
+            entries.sort_unstable_by_key(|&(w, _)| w);
+            let row_start = word.len();
+            for &(w, bit) in &entries {
+                if word.len() > row_start && word.last() == Some(&w) {
+                    *bits.last_mut().expect("words and bits move together") ^= bit;
+                } else {
+                    word.push(w);
+                    bits.push(bit);
+                }
+            }
+            offsets.push(word.len() as u32);
+        }
+        word.shrink_to_fit();
+        bits.shrink_to_fit();
+        Self {
+            word,
+            bits,
+            offsets,
         }
     }
 }
@@ -497,9 +675,125 @@ fn farthest_check<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qkd_types::rng::derive_rng;
+
+    /// Check rows of a circulant-layered matrix: `layers[l]` lists the
+    /// `(base column, shift)` pairs of layer `l`.
+    pub(crate) fn layered_rows(layers: &[Vec<(usize, usize)>]) -> Vec<Vec<usize>> {
+        let lift = |layer: &[(usize, usize)], i: usize| {
+            layer
+                .iter()
+                .map(|&(bc, s)| bc * LANES + (i + s) % LANES)
+                .collect()
+        };
+        layers
+            .iter()
+            .flat_map(|layer| (0..LANES).map(move |i| lift(layer, i)))
+            .collect()
+    }
+
+    /// A random circulant-layered table over `blocks` base columns whose
+    /// first layer carries the extreme shifts 0 and 63.
+    pub(crate) fn random_layers(
+        seed: u64,
+        blocks: usize,
+        layers: usize,
+    ) -> Vec<Vec<(usize, usize)>> {
+        let mut rng = derive_rng(seed, "random-layers");
+        let mut table: Vec<Vec<(usize, usize)>> = (0..layers)
+            .map(|_| {
+                let degree = rng.gen_range(2..=blocks.min(9));
+                let mut columns: Vec<usize> = (0..blocks).collect();
+                for k in 0..degree {
+                    let pick = rng.gen_range(k..blocks);
+                    columns.swap(k, pick);
+                }
+                columns[..degree]
+                    .iter()
+                    .map(|&bc| (bc, rng.gen_range(0..LANES)))
+                    .collect()
+            })
+            .collect();
+        table[0][0].1 = 0;
+        table[0][1].1 = LANES - 1;
+        table
+    }
+
+    fn qc(blocks: usize, layers: &[Vec<(usize, usize)>]) -> ParityCheckMatrix {
+        ParityCheckMatrix::from_rows(
+            blocks * LANES,
+            layers.len() * LANES,
+            &layered_rows(layers),
+            Construction::QuasiCyclic { circulant: LANES },
+        )
+    }
+
+    #[test]
+    fn circulant_layers_are_recognised_edge_by_edge() {
+        assert!(ParityCheckMatrix::quasi_cyclic(1024, 256, 64, 8, 3)
+            .unwrap()
+            .is_circulant_layered());
+        assert!(ParityCheckMatrix::for_rate(16_384, 0.85, 1)
+            .unwrap()
+            .is_circulant_layered());
+        let layers = vec![vec![(0, 0), (2, 63), (3, 17)], vec![(1, 5), (2, 40)]];
+        assert!(qc(4, &layers).is_circulant_layered());
+
+        // Everything else keeps the parity masks: a PEG graph, a circulant
+        // that is not the lane count, one edge moved inside its block, a
+        // base column repeated within a layer (its checks share variables),
+        // a degree-1 layer.
+        assert!(!ParityCheckMatrix::peg(1024, 256, 3, 1)
+            .unwrap()
+            .is_circulant_layered());
+        assert!(!ParityCheckMatrix::quasi_cyclic(1024, 256, 32, 8, 3)
+            .unwrap()
+            .is_circulant_layered());
+        let mut moved = layered_rows(&layers);
+        moved[70][1] ^= 1;
+        let moved = ParityCheckMatrix::from_rows(256, 128, &moved, Construction::Peg);
+        assert!(!moved.is_circulant_layered());
+        for broken in [
+            vec![vec![(0, 0), (2, 63), (2, 17)], vec![(1, 5), (2, 40)]],
+            vec![vec![(0, 0), (2, 63), (3, 17)], vec![(1, 5)]],
+        ] {
+            let h = qc(4, &broken);
+            assert!(!h.is_circulant_layered());
+            let x = BitVec::random(&mut derive_rng(4, "matrix-test"), 256);
+            assert_eq!(h.syndrome(&x), h.syndrome_reference(&x));
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The rotate-XOR syndrome of a circulant-layered matrix equals
+            /// the bit-by-bit reference over random shapes (shifts 0 and 63
+            /// always present).
+            #[test]
+            fn rotate_xor_syndrome_matches_the_reference(
+                seed in any::<u64>(),
+                blocks in 2usize..12,
+                layers in 1usize..6,
+            ) {
+                let h = qc(blocks, &random_layers(seed, blocks, layers));
+                prop_assert!(h.is_circulant_layered());
+                let mut rng = derive_rng(seed, "rotate-xor");
+                let mut out = BitVec::new();
+                for _ in 0..4 {
+                    let x = BitVec::random(&mut rng, h.num_vars());
+                    h.syndrome_into(&x, &mut out);
+                    prop_assert_eq!(&out, &h.syndrome_reference(&x));
+                }
+            }
+        }
+    }
 
     #[test]
     fn peg_has_requested_degrees() {

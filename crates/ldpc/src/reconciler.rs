@@ -7,6 +7,7 @@
 //! decoder fails to converge — the practical equivalent of blind
 //! reconciliation, with every disclosed syndrome counted as leakage.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -52,10 +53,16 @@ struct LibraryEntry {
 impl CodeLibrary {
     /// Builds a library for `block_size`-bit blocks at the given design rates.
     ///
+    /// The codes are independent (code `i` is seeded `seed + i`), so they are
+    /// built on up to `available_parallelism` threads, longest (lowest rate)
+    /// first; the library is the same whatever the thread count.
+    ///
     /// # Errors
     ///
-    /// Returns [`QkdError::InvalidParameter`] when `block_size` is too small
-    /// or a rate is degenerate.
+    /// Returns [`QkdError::InvalidParameter`] when `block_size` is too small,
+    /// a rate is degenerate, or `block_size` is one the constructions cannot
+    /// build exactly: from 16 384 bits up the codes are quasi-cyclic at
+    /// circulant 64, so the size must be a multiple of 64.
     pub fn new(
         block_size: usize,
         rates: &[f64],
@@ -74,17 +81,57 @@ impl CodeLibrary {
                 "at least one design rate is required",
             ));
         }
-        let mut entries = Vec::with_capacity(rates.len());
-        for (i, &rate) in rates.iter().enumerate() {
+        let build = |i: usize| -> Result<LibraryEntry> {
             let matrix =
-                ParityCheckMatrix::for_rate(block_size, rate, seed.wrapping_add(i as u64))?;
+                ParityCheckMatrix::for_rate(block_size, rates[i], seed.wrapping_add(i as u64))?;
+            if matrix.num_vars() != block_size {
+                return Err(QkdError::invalid_parameter(
+                    "block_size",
+                    format!(
+                        "blocks of 16384 bits and above must be a multiple of 64 bits; \
+                         {block_size} would be cut to a {}-bit code",
+                        matrix.num_vars()
+                    ),
+                ));
+            }
             let decoder = SyndromeDecoder::new(&matrix, decoder_config)?;
-            entries.push(LibraryEntry {
-                rate,
+            Ok(LibraryEntry {
+                rate: rates[i],
                 matrix,
                 decoder,
-            });
-        }
+            })
+        };
+        let mut longest_first: Vec<usize> = (0..rates.len()).collect();
+        longest_first.sort_by(|&a, &b| rates[a].total_cmp(&rates[b]));
+        let next = AtomicUsize::new(0);
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(rates.len());
+        let worker = || {
+            let mut done = Vec::new();
+            // Relaxed: the counter hands out indices and publishes nothing
+            // else.
+            while let Some(&i) = longest_first.get(next.fetch_add(1, Ordering::Relaxed)) {
+                done.push((i, build(i)));
+            }
+            done
+        };
+        // The calling thread is one of the workers.
+        let mut done = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for other in others {
+                done.extend(other.join().expect("code construction panicked"));
+            }
+            done
+        });
+        // Back in `rates` order, so the error reported is the first one in
+        // that order whichever thread met it.
+        done.sort_by_key(|&(i, _)| i);
+        let mut entries = done
+            .into_iter()
+            .map(|(_, entry)| entry)
+            .collect::<Result<Vec<_>>>()?;
         // Sort descending by rate so "highest feasible rate" is a linear scan.
         entries.sort_by(|a, b| b.rate.partial_cmp(&a.rate).expect("rates are finite"));
         Ok(Self {
@@ -834,6 +881,48 @@ mod tests {
         cfg.max_rate_retries = 0;
         assert!(LdpcReconciler::new(cfg).is_err());
         assert!(CodeLibrary::new(1024, &[], DecoderConfig::default(), 1).is_err());
+    }
+
+    /// Blocks of 16 384 bits and above get quasi-cyclic codes at circulant
+    /// 64; a size in between used to build a shorter code and panic on the
+    /// first syndrome.
+    #[test]
+    fn block_sizes_the_constructions_cannot_hit_are_refused() {
+        let err = LdpcReconciler::new(ReconcilerConfig::for_block_size(20_000)).unwrap_err();
+        assert!(
+            matches!(&err, QkdError::InvalidParameter { name, reason }
+                if *name == "block_size" && reason.contains("multiple of 64")),
+            "{err}"
+        );
+        assert!(CodeLibrary::new(20_032, &[0.8], DecoderConfig::default(), 1).is_ok());
+    }
+
+    #[test]
+    fn concurrent_build_equals_the_sequential_one() {
+        for block in [1024usize, 16_384] {
+            let config = ReconcilerConfig::for_block_size(block);
+            let library =
+                CodeLibrary::new(block, &config.rates, config.decoder, config.seed).unwrap();
+            let mut sequential: Vec<(f64, ParityCheckMatrix)> = config
+                .rates
+                .iter()
+                .enumerate()
+                .map(|(i, &rate)| {
+                    let seed = config.seed + i as u64;
+                    (
+                        rate,
+                        ParityCheckMatrix::for_rate(block, rate, seed).unwrap(),
+                    )
+                })
+                .collect();
+            sequential.sort_by(|a, b| b.0.total_cmp(&a.0));
+            assert_eq!(library.entries.len(), sequential.len());
+            for (entry, (rate, matrix)) in library.entries.iter().zip(&sequential) {
+                assert_eq!(entry.rate, *rate);
+                assert_eq!(entry.matrix, *matrix, "rate {rate} at {block} bits");
+                assert_eq!(entry.decoder.block_len(), block);
+            }
+        }
     }
 
     #[test]

@@ -396,6 +396,9 @@ impl BitVec {
     /// Removes the bits at `indices` (must be sorted ascending, unique) and
     /// returns the remaining bits in order.
     ///
+    /// Works run-at-a-time: the bits between two consecutive removed indices
+    /// move up to 64 per step (a shift-merge read and a shift-merge write).
+    ///
     /// # Panics
     ///
     /// Panics if indices are not strictly increasing or out of range.
@@ -406,14 +409,27 @@ impl BitVec {
         if let Some(&last) = indices.last() {
             assert!(last < self.len, "index {last} out of range");
         }
-        let mut out = BitVec::with_capacity(self.len - indices.len());
-        let mut iter = indices.iter().peekable();
-        for i in 0..self.len {
-            if iter.peek() == Some(&&i) {
-                iter.next();
-            } else {
-                out.push(self.get(i));
+        let mut out = BitVec::zeros(self.len - indices.len());
+        let mut written = 0;
+        let mut start = 0;
+        for &end in indices.iter().chain(std::iter::once(&self.len)) {
+            while start < end {
+                let take = (end - start).min(WORD_BITS);
+                let (sw, sb) = (start / WORD_BITS, start % WORD_BITS);
+                let mut bits = self.words[sw] >> sb;
+                if sb + take > WORD_BITS {
+                    bits |= self.words[sw + 1] << (WORD_BITS - sb);
+                }
+                bits &= mask_range(0, take);
+                let (ow, ob) = (written / WORD_BITS, written % WORD_BITS);
+                out.words[ow] |= bits << ob;
+                if ob + take > WORD_BITS {
+                    out.words[ow + 1] |= bits >> (WORD_BITS - ob);
+                }
+                start += take;
+                written += take;
             }
+            start = end + 1;
         }
         out
     }
@@ -760,6 +776,18 @@ mod tests {
         let v = BitVec::from_bools(&[true, false, true, true, false, true]);
         let out = v.remove_indices(&[1, 4]);
         assert_eq!(out.to_bools(), vec![true, true, true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn remove_indices_rejects_unsorted_indices() {
+        BitVec::zeros(100).remove_indices(&[7, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn remove_indices_rejects_an_index_past_the_end() {
+        BitVec::zeros(100).remove_indices(&[3, 100]);
     }
 
     #[test]

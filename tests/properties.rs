@@ -48,6 +48,29 @@ proptest! {
         prop_assert_eq!(v, back);
     }
 
+    /// Run-wise removal equals pushing the kept bits one by one: none, all,
+    /// first and last bit removed, sparse and dense picks whose runs cross
+    /// word boundaries, lengths that are not a multiple of 64.
+    #[test]
+    fn remove_indices_matches_the_bit_by_bit_form(seed in any::<u64>(),
+                                                  len in 0usize..400,
+                                                  pick in 0u32..5) {
+        let mut rng = derive_rng(seed, "prop-remove-indices");
+        let v = BitVec::random(&mut rng, len);
+        let indices: Vec<usize> = match pick {
+            0 => Vec::new(),
+            1 => (0..len).collect(),
+            2 => (0..len).filter(|i| *i == 0 || i + 1 == len).collect(),
+            3 => (0..len).filter(|_| rng.gen_bool(0.02)).collect(),
+            _ => (0..len).filter(|_| rng.gen_bool(0.5)).collect(),
+        };
+        let mut expected = BitVec::new();
+        for i in (0..len).filter(|i| indices.binary_search(i).is_err()) {
+            expected.push(v.get(i));
+        }
+        prop_assert_eq!(v.remove_indices(&indices), expected);
+    }
+
     #[test]
     fn xor_is_involutive(bools_a in proptest::collection::vec(any::<bool>(), 1..256),
                          seed in any::<u64>()) {
