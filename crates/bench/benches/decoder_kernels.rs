@@ -1,81 +1,46 @@
-//! Criterion bench for the decoder's check-node update kernels and the two
-//! decode paths they power (scratch vs retained reference).
+//! Criterion bench for the decoder: one warm-scratch decode per sweep
+//! `SyndromeDecoder::new` can dispatch to on this host.
 
 use std::time::Duration;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use qkd_ldpc::{
-    CheckKernel, DecoderAlgorithm, DecoderConfig, DecoderScratch, ParityCheckMatrix,
-    SumProductScratch, SyndromeDecoder,
-};
+use qkd_ldpc::{DecoderConfig, DecoderScratch, ParityCheckMatrix, SyndromeDecoder};
 use qkd_types::rng::derive_rng;
 use qkd_types::BitVec;
 
-/// Deterministic message slice with mixed signs and magnitudes.
-fn messages(degree: usize) -> Vec<f64> {
-    (0..degree)
-        .map(|i| (i as f64 - degree as f64 / 2.0) * 0.37 + 0.11)
-        .collect()
-}
-
-fn bench_check_update(c: &mut Criterion) {
-    let mut group = c.benchmark_group("check_update");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    for &degree in &[6usize, 8, 32] {
-        let values = messages(degree);
-        let kernels = [
-            (
-                "min-sum",
-                CheckKernel::new(DecoderAlgorithm::NORMALIZED_MIN_SUM),
-            ),
-            (
-                "sum-product",
-                CheckKernel::new(DecoderAlgorithm::SumProduct),
-            ),
-        ];
-        for (name, kernel) in kernels {
-            let mut sp = SumProductScratch::default();
-            let mut buf = values.clone();
-            group.bench_with_input(BenchmarkId::new(name, degree), &degree, |b, _| {
-                b.iter(|| {
-                    buf.copy_from_slice(&values);
-                    kernel.apply(black_box(&mut buf), -1.0, &mut sp);
-                });
-            });
-        }
+/// The sweep a PEG code (every code below 16 384 bits) runs on this host.
+fn csr_sweep() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "quads";
     }
-    group.finish();
+    "per-check"
 }
 
-fn bench_decode_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode_path");
+fn bench_decode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("decode");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    let block = 8192usize;
-    let matrix = ParityCheckMatrix::for_rate(block, 0.5, 91).unwrap();
-    let decoder = SyndromeDecoder::new(&matrix, DecoderConfig::default()).unwrap();
-    let mut rng = derive_rng(93, "bench-decoder-kernels");
-    let truth = BitVec::random_with_density(&mut rng, block, 0.02);
-    let syndrome = matrix.syndrome(&truth);
-    let mut scratch = DecoderScratch::new();
-    group.bench_with_input(BenchmarkId::new("scratch", block), &block, |b, _| {
-        b.iter(|| {
-            decoder
-                .decode_with_scratch(&syndrome, 0.02, &[], &mut scratch)
-                .unwrap()
+    for (sweep, block) in [("circulant-lane", 16_384usize), (csr_sweep(), 4096)] {
+        let matrix = ParityCheckMatrix::for_rate(block, 0.5, 91).unwrap();
+        let decoder = SyndromeDecoder::new(&matrix, DecoderConfig::default()).unwrap();
+        let mut rng = derive_rng(93, "bench-decoder-kernels");
+        let truth = BitVec::random_with_density(&mut rng, block, 0.02);
+        let syndrome = matrix.syndrome(&truth);
+        let mut scratch = DecoderScratch::new();
+        group.bench_with_input(BenchmarkId::new(sweep, block), &block, |b, _| {
+            b.iter(|| {
+                decoder
+                    .decode_with_scratch(&syndrome, 0.02, &[], &mut scratch)
+                    .unwrap()
+            });
         });
-    });
-    group.bench_with_input(BenchmarkId::new("reference", block), &block, |b, _| {
-        b.iter(|| decoder.decode_reference(&syndrome, 0.02, &[]).unwrap());
-    });
+    }
     group.finish();
 }
 
-criterion_group!(benches, bench_check_update, bench_decode_paths);
+criterion_group!(benches, bench_decode);
 criterion_main!(benches);

@@ -6,12 +6,11 @@
 //!
 //! ```text
 //! cargo run --release -p qkd-bench --bin harness -- all
-//! cargo run --release -p qkd-bench --bin harness -- table1 fig5 ablate-decoder
+//! cargo run --release -p qkd-bench --bin harness -- table1 fig5
 //! cargo run --release -p qkd-bench --bin harness -- --smoke
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --fleet
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --api
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --journal
-//! cargo run --release -p qkd-bench --bin harness -- --smoke --decoder
 //! cargo run --release -p qkd-bench --bin harness -- --smoke --obs-overhead
 //! ```
 
@@ -30,11 +29,10 @@ Flags (each prints one JSON document to stdout):
                  sweep, 64-4096 concurrent SAEs   (qkd-bench-api/v2)
   --journal      journaled vs in-memory store: deposit/redeem
                  throughput and recovery check    (qkd-bench-journal/v1)
-  --decoder      LDPC decoder hot path vs seed reference (qkd-bench-decoder/v1)
   --obs-overhead telemetry on/off decode-throughput gate  (qkd-bench-obs/v1)
   --help, -h     print this help and exit
 
-`--fleet`, `--api`, `--journal`, `--decoder` and `--obs-overhead` run their
+`--fleet`, `--api`, `--journal` and `--obs-overhead` run their
 benchmark whether or not `--smoke` is present; `--smoke` alone runs the kernel
 smoke benchmark.
 
@@ -52,7 +50,6 @@ Experiments (aligned text tables):
   fig5           LDPC offload latency crossover
   fig6           Cascade interactivity cost vs channel RTT
   fig7           finite-key secret fraction vs block size
-  ablate-decoder decoder algorithm and schedule ablation
 
 Unknown flags or experiment names exit with status 2.";
 
@@ -78,8 +75,6 @@ fn main() {
         "api",
         "--journal",
         "journal",
-        "--decoder",
-        "decoder",
         "--obs-overhead",
         "obs-overhead",
         "all",
@@ -93,7 +88,6 @@ fn main() {
         "fig5",
         "fig6",
         "fig7",
-        "ablate-decoder",
     ];
     for arg in &args {
         if !KNOWN.contains(&arg.as_str()) {
@@ -108,7 +102,6 @@ fn main() {
     let fleet = has("fleet");
     let api = has("api");
     let journal = has("journal");
-    let decoder = has("decoder");
     let obs_overhead = has("obs-overhead");
 
     if fleet {
@@ -120,13 +113,10 @@ fn main() {
     if journal {
         experiments::smoke_journal();
     }
-    if decoder {
-        experiments::smoke_decoder();
-    }
     if obs_overhead {
         experiments::smoke_obs_overhead();
     }
-    if smoke && !fleet && !api && !journal && !decoder && !obs_overhead {
+    if smoke && !fleet && !api && !journal && !obs_overhead {
         experiments::smoke();
     }
 
@@ -143,7 +133,6 @@ fn main() {
             "fig5" => experiments::fig5(),
             "fig6" => experiments::fig6(),
             "fig7" => experiments::fig7(),
-            "ablate-decoder" => experiments::ablate_decoder(),
             // Flags were handled above.
             _ => {}
         }

@@ -14,8 +14,8 @@ use qkd_hetero::{
     ThroughputReport,
 };
 use qkd_ldpc::{
-    DecoderAlgorithm, DecoderConfig, DecoderScratch, LdpcReconciler, ParityCheckMatrix,
-    ReconcilerConfig, Schedule, SyndromeDecoder,
+    DecoderConfig, DecoderScratch, LdpcReconciler, ParityCheckMatrix, ReconcilerConfig,
+    SyndromeDecoder,
 };
 use qkd_privacy::finite_key::secret_length;
 use qkd_privacy::{asymptotic_secret_fraction, FiniteKeyParams, ToeplitzHash, ToeplitzStrategy};
@@ -465,67 +465,6 @@ pub fn fig7() {
     println!("(expected shape: fraction grows with n toward the asymptote; higher QBER lowers it)");
 }
 
-/// Ablation — decoder algorithm and schedule.
-pub fn ablate_decoder() {
-    header(
-        "Ablation: LDPC decoder algorithm x schedule (16 kbit, rate 1/2, 3% QBER)",
-        &format!(
-            "{:<26} {:>12} {:>12} {:>12} {:>12}",
-            "variant", "iters", "time (ms)", "ref (ms)", "converged"
-        ),
-    );
-    let matrix = ParityCheckMatrix::for_rate(16_384, 0.5, 71).unwrap();
-    let mut rng = derive_rng(73, "ablate");
-    let truth = BitVec::random_with_density(&mut rng, matrix.num_vars(), 0.03);
-    let syndrome = matrix.syndrome(&truth);
-    let mut scratch = DecoderScratch::new();
-    for (name, algorithm, schedule) in [
-        (
-            "sum-product / flooding",
-            DecoderAlgorithm::SumProduct,
-            Schedule::Flooding,
-        ),
-        (
-            "sum-product / layered",
-            DecoderAlgorithm::SumProduct,
-            Schedule::Layered,
-        ),
-        (
-            "min-sum(0.75) / flooding",
-            DecoderAlgorithm::NORMALIZED_MIN_SUM,
-            Schedule::Flooding,
-        ),
-        (
-            "min-sum(0.75) / layered",
-            DecoderAlgorithm::NORMALIZED_MIN_SUM,
-            Schedule::Layered,
-        ),
-    ] {
-        let config = DecoderConfig {
-            algorithm,
-            schedule,
-            ..DecoderConfig::default()
-        };
-        let decoder = SyndromeDecoder::new(&matrix, config).unwrap();
-        let (out, t) = timed(|| {
-            decoder
-                .decode_with_scratch(&syndrome, 0.03, &[], &mut scratch)
-                .unwrap()
-        });
-        let (out_ref, t_ref) = timed(|| decoder.decode_reference(&syndrome, 0.03, &[]).unwrap());
-        assert_eq!(out, out_ref, "scratch and reference paths must agree");
-        println!(
-            "{:<26} {:>12} {:>12.2} {:>12.2} {:>12}",
-            name,
-            out.iterations,
-            t.as_secs_f64() * 1e3,
-            t_ref.as_secs_f64() * 1e3,
-            out.converged
-        );
-    }
-    println!("(expected shape: layered halves the iterations; min-sum trades a little accuracy for speed)");
-}
-
 /// Quick smoke benchmark: exercises one representative workload per stage at
 /// reduced sizes and prints one machine-readable JSON document to stdout.
 ///
@@ -748,7 +687,7 @@ const TOEPLITZ_FLOOR_MBPS: f64 = 50.0;
 const VERIFY_FLOOR_MBPS: f64 = 500.0;
 
 /// Smallest per-call duration over `batches` batches of `reps` calls each —
-/// the noise-robust point estimate the decoder benchmark reports.
+/// the noise-robust point estimate the smoke rows and gates report.
 fn best_of<F: FnMut()>(mut f: F, reps: u32, batches: u32) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..batches {
@@ -759,144 +698,6 @@ fn best_of<F: FnMut()>(mut f: F, reps: u32, batches: u32) -> Duration {
         best = best.min(start.elapsed() / reps);
     }
     best
-}
-
-/// Decoder hot-path benchmark: sweeps algorithm × schedule × block size and
-/// measures the allocation-free scratch path
-/// ([`SyndromeDecoder::decode_with_scratch`]) against the retained seed
-/// implementation ([`SyndromeDecoder::decode_reference`]), printing one
-/// machine-readable JSON document (`qkd-bench-decoder/v1`).
-///
-/// Every cell asserts that the two paths return **bit-identical**
-/// [`qkd_ldpc::DecodeOutcome`]s, so the benchmark doubles as the regression
-/// gate for decoder changes; `default_8k` singles out the engine's default
-/// configuration (normalised min-sum, layered) on 8 kbit blocks — the cell
-/// the perf trajectory tracks.
-pub fn smoke_decoder() {
-    let total_start = std::time::Instant::now();
-    let qber = 0.02f64;
-    let variants: [(&str, DecoderAlgorithm, Schedule); 4] = [
-        (
-            "min-sum(0.75)/layered",
-            DecoderAlgorithm::NORMALIZED_MIN_SUM,
-            Schedule::Layered,
-        ),
-        (
-            "min-sum(0.75)/flooding",
-            DecoderAlgorithm::NORMALIZED_MIN_SUM,
-            Schedule::Flooding,
-        ),
-        (
-            "sum-product/layered",
-            DecoderAlgorithm::SumProduct,
-            Schedule::Layered,
-        ),
-        (
-            "sum-product/flooding",
-            DecoderAlgorithm::SumProduct,
-            Schedule::Flooding,
-        ),
-    ];
-
-    struct Cell {
-        block: usize,
-        variant: &'static str,
-        iterations: usize,
-        reference_ms: f64,
-        scratch_ms: f64,
-        reference_mbps: f64,
-        scratch_mbps: f64,
-        iters_per_sec: f64,
-        speedup: f64,
-    }
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut default_8k_speedup = 0.0f64;
-    let mut scratch = DecoderScratch::new();
-
-    for &block in &[4096usize, 8192, 16_384] {
-        let matrix = ParityCheckMatrix::for_rate(block, 0.5, 91).unwrap();
-        let mut rng = derive_rng(93, "smoke-decoder");
-        let truth = BitVec::random_with_density(&mut rng, matrix.num_vars(), qber);
-        let syndrome = matrix.syndrome(&truth);
-        for &(variant, algorithm, schedule) in &variants {
-            let config = DecoderConfig {
-                algorithm,
-                schedule,
-                ..DecoderConfig::default()
-            };
-            let decoder = SyndromeDecoder::new(&matrix, config).unwrap();
-            // Correctness first: the optimized path must match the retained
-            // reference bit for bit (pattern, convergence and iterations).
-            let reference = decoder.decode_reference(&syndrome, qber, &[]).unwrap();
-            let optimized = decoder
-                .decode_with_scratch(&syndrome, qber, &[], &mut scratch)
-                .unwrap();
-            assert_eq!(
-                reference, optimized,
-                "scratch and reference outcomes diverged: {variant} at {block} bits"
-            );
-            assert!(optimized.converged, "benchmark decode must converge");
-
-            let ref_t = best_of(
-                || {
-                    let _ = decoder.decode_reference(&syndrome, qber, &[]).unwrap();
-                },
-                4,
-                5,
-            );
-            let opt_t = best_of(
-                || {
-                    let _ = decoder
-                        .decode_with_scratch(&syndrome, qber, &[], &mut scratch)
-                        .unwrap();
-                },
-                4,
-                5,
-            );
-            let n_bits = matrix.num_vars() as f64;
-            let speedup = ref_t.as_secs_f64() / opt_t.as_secs_f64();
-            if block == 8192 && config == DecoderConfig::default() {
-                default_8k_speedup = speedup;
-            }
-            cells.push(Cell {
-                block,
-                variant,
-                iterations: optimized.iterations,
-                reference_ms: ref_t.as_secs_f64() * 1e3,
-                scratch_ms: opt_t.as_secs_f64() * 1e3,
-                reference_mbps: mbps(n_bits, ref_t),
-                scratch_mbps: mbps(n_bits, opt_t),
-                iters_per_sec: optimized.iterations as f64 / opt_t.as_secs_f64(),
-                speedup,
-            });
-        }
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"qkd-bench-decoder/v1\",\n");
-    json.push_str(&format!(
-        "  \"qber\": {qber},\n  \"outcomes_identical\": true,\n  \"default_8k_speedup\": {default_8k_speedup:.3},\n  \"grid\": [\n"
-    ));
-    let num_cells = cells.len();
-    for (i, cell) in cells.iter().enumerate() {
-        let comma = if i + 1 < num_cells { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"block\": {}, \"variant\": \"{}\", \"iterations\": {}, \"reference_ms\": {:.4}, \"scratch_ms\": {:.4}, \"reference_mbit_per_s\": {:.2}, \"scratch_mbit_per_s\": {:.2}, \"iters_per_s\": {:.1}, \"speedup\": {:.3}}}{comma}\n",
-            cell.block,
-            cell.variant,
-            cell.iterations,
-            cell.reference_ms,
-            cell.scratch_ms,
-            cell.reference_mbps,
-            cell.scratch_mbps,
-            cell.iters_per_sec,
-            cell.speedup,
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"total_wall_s\": {:.3}\n}}",
-        total_start.elapsed().as_secs_f64()
-    ));
-    println!("{json}");
 }
 
 /// Telemetry-overhead gate: measures the decoder hot path (the most
@@ -1681,5 +1482,4 @@ pub fn run_all() {
     fig5();
     fig6();
     fig7();
-    ablate_decoder();
 }

@@ -138,5 +138,15 @@ mod tests {
         let mut c = PostProcessingConfig::for_block_size(4096);
         c.sampling.sample_fraction = 2.0;
         assert!(c.validate().is_err());
+
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut c = PostProcessingConfig::for_block_size(4096);
+            c.ldpc.decoder.llr_clamp = value;
+            assert!(c.validate().is_err(), "llr_clamp {value}");
+
+            let mut c = PostProcessingConfig::for_block_size(4096);
+            c.ldpc.efficiency_target = value;
+            assert!(c.validate().is_err(), "efficiency_target {value}");
+        }
     }
 }

@@ -1,13 +1,13 @@
-//! Belief-propagation syndrome decoders.
+//! Belief-propagation syndrome decoder.
 //!
 //! Reconciliation uses *syndrome decoding*: given Bob's key `y`, Alice's
 //! syndrome `s_A = H x`, and Bob's own syndrome `s_B = H y`, Bob decodes the
 //! error pattern `e` with `H e = s_A ⊕ s_B` under an i.i.d. bit-flip prior at
 //! the estimated QBER, then sets `x = y ⊕ e`.
 //!
-//! Two message-passing algorithms (sum-product and normalised min-sum) and
-//! two schedules (flooding and layered) are provided; the combinations are the
-//! ablation axes of the evaluation (Table 2, `ablate-decoder`).
+//! There is one message-passing rule and one schedule: normalised min-sum
+//! (scale 0.75) on the layered schedule, where checks are processed in order
+//! and every posterior is updated as soon as its check is.
 //!
 //! # Hot-path layout
 //!
@@ -19,9 +19,8 @@
 //! rate-ladder attempts — after the first decode at a given size, a decode
 //! performs **zero heap allocations** inside the iteration loops.
 //!
-//! The default configuration (normalised min-sum, layered) is served by one
-//! of three sweeps, chosen once in [`SyndromeDecoder::new`] from what the
-//! matrix is and what the host has:
+//! The decoder runs one of three sweeps, chosen once in
+//! [`SyndromeDecoder::new`] from what the matrix is and what the host has:
 //!
 //! * **Circulant-lane** — for matrices whose checks form layers of 64 rows
 //!   lifted from one base row by cyclic shifts (every quasi-cyclic code at
@@ -41,17 +40,16 @@
 //! * **AVX2 quads** — for every other matrix (the PEG codes below 16 384
 //!   bits) on an AVX2 host: four consecutive variable-disjoint equal-degree
 //!   checks, one per lane, gathered through the CSR (`simd.rs`).
-//! * **Scalar** — the per-check loop; also what flooding and sum-product run.
+//! * **Scalar** — the per-check loop, for the unstructured matrices on a host
+//!   without AVX2.
 //!
 //! For the unstructured matrices convergence is checked by walking only the
 //! *set* hard-decision bits through the variable-major column map.
 //!
-//! [`SyndromeDecoder::decode_reference`] retains the seed implementation's
-//! *cost profile* — per-check `Vec` construction and cloning, bit-by-bit
-//! syndrome checks through [`BitVec::get`], message buffers rebuilt on every
-//! call — on the current flat adjacency. It is the equivalence oracle for
-//! the optimized paths (outcomes are bit-identical by construction) and the
-//! baseline the `--decoder` harness benchmark measures speedups against.
+//! Test builds carry `SyndromeDecoder::decode_reference`, an allocating
+//! per-check decoder with its own branchy min-sum update and bit-by-bit
+//! syndrome checks. It is the equivalence oracle: every sweep must return
+//! its outcome bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,41 +58,13 @@ use qkd_types::{BitVec, QkdError, Result};
 
 use crate::matrix::{ParityCheckMatrix, LANES};
 
-/// Message-passing algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DecoderAlgorithm {
-    /// Exact sum-product (tanh rule). Best threshold, slowest.
-    SumProduct,
-    /// Normalised min-sum with the given scale factor numerator over 100
-    /// (e.g. 75 means messages are scaled by 0.75). Hardware friendly.
-    MinSum {
-        /// Normalisation factor in hundredths (75 ⇒ 0.75).
-        scale_pct: u8,
-    },
-}
-
-impl DecoderAlgorithm {
-    /// The conventional normalised min-sum variant (scale 0.75).
-    pub const NORMALIZED_MIN_SUM: DecoderAlgorithm = DecoderAlgorithm::MinSum { scale_pct: 75 };
-}
-
-/// Message-update schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Schedule {
-    /// All checks updated from the previous iteration's variable messages.
-    Flooding,
-    /// Checks processed sequentially, posteriors updated immediately
-    /// (converges in roughly half the iterations).
-    Layered,
-}
+/// Normalisation factor of the min-sum check update: an outgoing message
+/// carries the smallest other incoming magnitude scaled by 0.75.
+const SCALE: f64 = 0.75;
 
 /// Decoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecoderConfig {
-    /// Algorithm to run.
-    pub algorithm: DecoderAlgorithm,
-    /// Schedule to use.
-    pub schedule: Schedule,
     /// Maximum number of iterations before giving up.
     pub max_iterations: usize,
     /// Magnitude at which LLRs are clamped for numerical stability.
@@ -104,8 +74,6 @@ pub struct DecoderConfig {
 impl Default for DecoderConfig {
     fn default() -> Self {
         Self {
-            algorithm: DecoderAlgorithm::NORMALIZED_MIN_SUM,
-            schedule: Schedule::Layered,
             max_iterations: 60,
             llr_clamp: 30.0,
         }
@@ -125,16 +93,12 @@ impl DecoderConfig {
                 "must be at least 1",
             ));
         }
-        if self.llr_clamp <= 0.0 {
-            return Err(QkdError::invalid_parameter("llr_clamp", "must be positive"));
-        }
-        if let DecoderAlgorithm::MinSum { scale_pct } = self.algorithm {
-            if scale_pct == 0 || scale_pct > 100 {
-                return Err(QkdError::invalid_parameter(
-                    "scale_pct",
-                    "must lie in 1..=100",
-                ));
-            }
+        // Written so that NaN fails it too.
+        if !(self.llr_clamp.is_finite() && self.llr_clamp > 0.0) {
+            return Err(QkdError::invalid_parameter(
+                "llr_clamp",
+                "must be finite and positive",
+            ));
         }
         Ok(())
     }
@@ -149,129 +113,6 @@ pub struct DecodeOutcome {
     pub converged: bool,
     /// Iterations actually executed.
     pub iterations: usize,
-}
-
-/// Scratch buffers for the sum-product check update (tanh values and their
-/// prefix/suffix products), sized to the largest check degree seen so far.
-#[derive(Debug, Clone, Default)]
-pub struct SumProductScratch {
-    tanh: Vec<f64>,
-    prefix: Vec<f64>,
-    suffix: Vec<f64>,
-}
-
-impl SumProductScratch {
-    fn ensure(&mut self, degree: usize) {
-        if self.tanh.len() < degree {
-            self.tanh.resize(degree, 0.0);
-        }
-        if self.prefix.len() < degree + 1 {
-            self.prefix.resize(degree + 1, 0.0);
-            self.suffix.resize(degree + 1, 0.0);
-        }
-    }
-
-    fn zeroize(&mut self) {
-        zeroize_f64s(&mut self.tanh);
-        zeroize_f64s(&mut self.prefix);
-        zeroize_f64s(&mut self.suffix);
-    }
-}
-
-/// The check-node update kernel, with the algorithm parameters resolved once
-/// per decoder instead of per check (the normalisation factor used to be
-/// re-derived from `scale_pct` on every check of every iteration).
-///
-/// `values` holds the incoming variable-to-check messages of one check and is
-/// overwritten in place with the outgoing check-to-variable messages;
-/// `sign_target` is `-1.0` when the target syndrome bit is set.
-#[derive(Debug, Clone, Copy)]
-pub enum CheckKernel {
-    /// Exact tanh-rule update.
-    SumProduct,
-    /// Normalised min-sum update with a pre-resolved scale factor.
-    MinSum {
-        /// Normalisation factor (e.g. 0.75).
-        scale: f64,
-    },
-}
-
-impl CheckKernel {
-    /// Resolves the kernel for an algorithm.
-    pub fn new(algorithm: DecoderAlgorithm) -> Self {
-        match algorithm {
-            DecoderAlgorithm::SumProduct => CheckKernel::SumProduct,
-            DecoderAlgorithm::MinSum { scale_pct } => CheckKernel::MinSum {
-                scale: f64::from(scale_pct) / 100.0,
-            },
-        }
-    }
-
-    /// Applies the check update in place, drawing any temporary storage from
-    /// `sp` (used by the sum-product rule only).
-    pub fn apply(&self, values: &mut [f64], sign_target: f64, sp: &mut SumProductScratch) {
-        match *self {
-            CheckKernel::SumProduct => {
-                let deg = values.len();
-                sp.ensure(deg);
-                // Product of tanh(v/2) excluding self, via prefix/suffix
-                // products.
-                for (t, &v) in sp.tanh.iter_mut().zip(values.iter()) {
-                    *t = (v / 2.0).tanh();
-                }
-                sp.prefix[0] = 1.0;
-                for i in 0..deg {
-                    sp.prefix[i + 1] = sp.prefix[i] * sp.tanh[i];
-                }
-                sp.suffix[deg] = 1.0;
-                for i in (0..deg).rev() {
-                    sp.suffix[i] = sp.suffix[i + 1] * sp.tanh[i];
-                }
-                for (i, v) in values.iter_mut().enumerate() {
-                    let prod = (sp.prefix[i] * sp.suffix[i + 1] * sign_target)
-                        .clamp(-0.999_999, 0.999_999);
-                    *v = 2.0 * prod.atanh();
-                }
-            }
-            CheckKernel::MinSum { scale } => {
-                // Two smallest magnitudes and the overall sign product.
-                let mut min1 = f64::INFINITY;
-                let mut min2 = f64::INFINITY;
-                let mut min1_idx = 0usize;
-                let mut sign_prod = sign_target;
-                for (i, &v) in values.iter().enumerate() {
-                    let a = v.abs();
-                    if a < min1 {
-                        min2 = min1;
-                        min1 = a;
-                        min1_idx = i;
-                    } else if a < min2 {
-                        min2 = a;
-                    }
-                    if v < 0.0 {
-                        sign_prod = -sign_prod;
-                    }
-                }
-                // Sign product and scale fold into one factor outside the
-                // per-edge loop; both signs are exactly ±1, so the result is
-                // bit-identical to multiplying them edge by edge.
-                let signed_scale = sign_prod * scale;
-                for (i, v) in values.iter_mut().enumerate() {
-                    let self_sign = if *v < 0.0 { -1.0 } else { 1.0 };
-                    let mag = if i == min1_idx { min2 } else { min1 };
-                    *v = self_sign * signed_scale * if mag.is_finite() { mag } else { 0.0 };
-                }
-            }
-        }
-    }
-
-    /// Reference variant that allocates its temporary storage per call,
-    /// preserving the cost profile of the original per-check implementation
-    /// (used by [`SyndromeDecoder::decode_reference`]).
-    fn apply_alloc(&self, values: &mut [f64], sign_target: f64) {
-        let mut sp = SumProductScratch::default();
-        self.apply(values, sign_target, &mut sp);
-    }
 }
 
 /// Branchless select: `if cond { a } else { b }` computed with a bit mask,
@@ -316,24 +157,19 @@ pub(crate) const BLOCK_STRIDE: usize = LANES + 4;
 pub(crate) const MIRROR: usize = 3;
 
 /// Caller-owned arena for every buffer the decode iteration loops touch:
-/// per-edge message arrays, per-variable priors and posteriors, a staging
-/// buffer for the extrinsic inputs of the checks in flight, and word-packed
-/// hard decisions.
+/// per-edge messages, per-variable posteriors, a staging buffer for the
+/// extrinsic inputs of the checks in flight, and word-packed hard decisions.
 ///
 /// A scratch starts empty and grows to the largest decoder it has served; it
 /// can be reused freely across decoders, blocks, rate-ladder attempts and
 /// mixed block sizes. Reuse is what makes the decode loops allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct DecoderScratch {
-    /// Per-edge variable-to-check messages (flooding schedule).
-    v2c: Vec<f64>,
     /// Per-edge check-to-variable messages (check-major; `[k][lane]` within
     /// a layer on the circulant-lane path).
     c2v: Vec<f64>,
-    /// Per-variable channel priors.
-    channel: Vec<f64>,
-    /// Per-variable posterior LLRs (layered schedule; blocks of
-    /// [`BLOCK_STRIDE`] on the circulant-lane path).
+    /// Per-variable posterior LLRs, seeded with the channel priors (blocks
+    /// of [`BLOCK_STRIDE`] on the circulant-lane path).
     posterior: Vec<f64>,
     /// Extrinsic inputs of the checks in flight: one check's on the scalar
     /// path, a whole layer's on the circulant-lane path.
@@ -342,8 +178,6 @@ pub struct DecoderScratch {
     hard: Vec<u64>,
     /// Word-packed syndrome of the current hard decisions.
     syn: Vec<u64>,
-    /// Sum-product temporaries.
-    sp: SumProductScratch,
 }
 
 impl DecoderScratch {
@@ -357,17 +191,13 @@ impl DecoderScratch {
     fn ensure(&mut self, decoder: &SyndromeDecoder) {
         let edges = decoder.matrix.num_edges();
         let n = decoder.matrix.num_vars();
-        let (posterior, inputs) = if decoder.circulant_scale().is_some() {
+        let (posterior, inputs) = if decoder.sweep.is_circulant() {
             (n / LANES * BLOCK_STRIDE, decoder.max_check_degree * LANES)
         } else {
             (n, decoder.max_check_degree)
         };
-        if self.v2c.len() < edges {
-            self.v2c.resize(edges, 0.0);
+        if self.c2v.len() < edges {
             self.c2v.resize(edges, 0.0);
-        }
-        if self.channel.len() < n {
-            self.channel.resize(n, 0.0);
         }
         if self.posterior.len() < posterior {
             self.posterior.resize(posterior, 0.0);
@@ -383,7 +213,6 @@ impl DecoderScratch {
         if self.syn.len() < syn_words {
             self.syn.resize(syn_words, 0);
         }
-        self.sp.ensure(decoder.max_check_degree);
     }
 
     /// Volatile-overwrites every buffer. Decode state is derived from raw key
@@ -391,20 +220,16 @@ impl DecoderScratch {
     /// about to be dropped or parked should not leave it readable in freed
     /// heap memory.
     pub fn zeroize(&mut self) {
-        zeroize_f64s(&mut self.v2c);
         zeroize_f64s(&mut self.c2v);
-        zeroize_f64s(&mut self.channel);
         zeroize_f64s(&mut self.posterior);
         zeroize_f64s(&mut self.inputs);
         zeroize_words(&mut self.hard);
         zeroize_words(&mut self.syn);
-        self.sp.zeroize();
     }
 }
 
-/// The kernel behind the min-sum layered sweep, fixed at construction from
-/// the matrix's structure and the host's features (see the module docs).
-/// Every other algorithm/schedule combination is [`Sweep::Scalar`].
+/// The kernel behind the layered sweep, fixed at construction from the
+/// matrix's structure and the host's features (see the module docs).
 #[derive(Debug, Clone)]
 enum Sweep {
     /// Per-check scalar loop over the CSR.
@@ -445,7 +270,6 @@ impl Sweep {
 #[derive(Debug, Clone)]
 pub struct SyndromeDecoder {
     config: DecoderConfig,
-    kernel: CheckKernel,
     matrix: ParityCheckMatrix,
     sweep: Sweep,
     max_check_degree: usize,
@@ -471,19 +295,14 @@ impl SyndromeDecoder {
             .max()
             .unwrap_or(0);
 
-        // Only the default configuration has vector sweeps. The lockstep
-        // forms assume every clamped input is finite (both minima of a
-        // degree >= 2 check then are), which a finite clamp guarantees.
-        let min_sum_layered = matches!(config.algorithm, DecoderAlgorithm::MinSum { .. })
-            && config.schedule == Schedule::Layered
-            && config.llr_clamp.is_finite();
+        // The lockstep forms assume every clamped input is finite (both
+        // minima of a degree >= 2 check then are). `validate` admits only a
+        // finite clamp, so every configuration may take them.
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
         let avx2 = false;
-        let sweep = if !min_sum_layered {
-            Sweep::Scalar
-        } else if matrix.is_circulant_layered() {
+        let sweep = if matrix.is_circulant_layered() {
             Sweep::Circulant { avx2 }
         } else if avx2 {
             #[cfg(target_arch = "x86_64")]
@@ -505,7 +324,6 @@ impl SyndromeDecoder {
         // actually running the vectorised sweep.
         let obs = qkd_obs::registry();
         Ok(Self {
-            kernel: CheckKernel::new(config.algorithm),
             config,
             matrix: matrix.clone(),
             max_check_degree,
@@ -537,14 +355,6 @@ impl SyndromeDecoder {
         self.m()
     }
 
-    /// The min-sum scale when this decoder runs the circulant-lane path.
-    fn circulant_scale(&self) -> Option<f64> {
-        match (self.sweep.is_circulant(), self.kernel) {
-            (true, CheckKernel::MinSum { scale }) => Some(scale),
-            _ => None,
-        }
-    }
-
     #[inline]
     fn n(&self) -> usize {
         self.matrix.num_vars()
@@ -563,11 +373,6 @@ impl SyndromeDecoder {
     #[inline]
     fn check_offsets(&self) -> &[u32] {
         self.matrix.check_offsets()
-    }
-
-    #[inline]
-    fn var_edge(&self) -> &[u32] {
-        self.matrix.var_edge()
     }
 
     fn validate_inputs(&self, target_syndrome: &BitVec, qber: f64) -> Result<()> {
@@ -640,7 +445,7 @@ impl SyndromeDecoder {
             .iter()
             .filter(|&&(v, _)| v < n)
             .map(|&(v, llr)| (v, llr.clamp(-clamp, clamp)));
-        let outcome = if let Some(scale) = self.circulant_scale() {
+        let outcome = if self.sweep.is_circulant() {
             let posterior = &mut scratch.posterior[..n / LANES * BLOCK_STRIDE];
             posterior.fill(prior);
             for (v, llr) in overrides {
@@ -650,66 +455,18 @@ impl SyndromeDecoder {
                     posterior[at + LANES] = llr;
                 }
             }
-            self.decode_layered_circulant(scale, target_syndrome, scratch)
+            self.decode_layered_circulant(target_syndrome, scratch)
         } else {
-            // Flooding consults the priors on every variable update, so they
-            // get their own buffer; layered only seeds the posteriors with
-            // them.
-            let priors = match self.config.schedule {
-                Schedule::Flooding => &mut scratch.channel[..n],
-                Schedule::Layered => &mut scratch.posterior[..n],
-            };
-            priors.fill(prior);
+            let posterior = &mut scratch.posterior[..n];
+            posterior.fill(prior);
             for (v, llr) in overrides {
-                priors[v] = llr;
+                posterior[v] = llr;
             }
-            match self.config.schedule {
-                Schedule::Flooding => self.decode_flooding_scratch(target_syndrome, scratch),
-                Schedule::Layered => self.decode_layered_scratch(target_syndrome, scratch),
-            }
+            self.decode_layered_scratch(target_syndrome, scratch)
         };
         self.obs_kernel.inc();
         self.obs_iterations.observe(outcome.iterations as f64);
         Ok(outcome)
-    }
-
-    /// The retained reference decoder: it preserves the seed
-    /// implementation's allocation profile — per-call message buffers,
-    /// per-check `Vec` construction and cloning, bit-by-bit syndrome checks
-    /// — while sharing the flat adjacency and check kernel with the
-    /// optimized path. Bit-identical in outcome to
-    /// [`SyndromeDecoder::decode_with_scratch`]; kept as the equivalence
-    /// oracle for tests and as the baseline the `--decoder` benchmark
-    /// measures the optimized path against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SyndromeDecoder::decode`].
-    pub fn decode_reference(
-        &self,
-        target_syndrome: &BitVec,
-        qber: f64,
-        llr_overrides: &[(usize, f64)],
-    ) -> Result<DecodeOutcome> {
-        self.validate_inputs(target_syndrome, qber)?;
-        let clamp = self.config.llr_clamp;
-        let prior = self.prior_llr(qber);
-        let mut channel = vec![prior; self.n()];
-        for &(v, llr) in llr_overrides {
-            if v < self.n() {
-                channel[v] = llr.clamp(-clamp, clamp);
-            }
-        }
-        Ok(match self.config.schedule {
-            Schedule::Flooding => self.decode_flooding_reference(target_syndrome, &channel),
-            Schedule::Layered => self.decode_layered_reference(target_syndrome, &channel),
-        })
-    }
-
-    #[inline]
-    fn check_range(&self, c: usize) -> (usize, usize) {
-        let offsets = self.check_offsets();
-        (offsets[c] as usize, offsets[c + 1] as usize)
     }
 
     #[inline]
@@ -735,126 +492,10 @@ impl SyndromeDecoder {
         pattern
     }
 
-    /// Fused min-sum flooding update of one check: one pass over its incoming
-    /// messages accumulates the two smallest magnitudes and the sign product,
-    /// a second writes the outgoing messages — no staging copy, branchless
-    /// value-dependent selects, bit-identical arithmetic to
-    /// [`CheckKernel::apply`].
-    #[inline]
-    fn min_sum_flooding_check(
-        &self,
-        c: usize,
-        scale: f64,
-        v2c: &[f64],
-        c2v: &mut [f64],
-        target_words: &[u64],
-    ) {
-        let (s, e) = self.check_range(c);
-        let inputs = &v2c[s..e];
-        let mut min1 = f64::INFINITY;
-        let mut min2 = f64::INFINITY;
-        let mut min1_idx = 0usize;
-        let mut neg = false;
-        for (k, &v) in inputs.iter().enumerate() {
-            let a = v.abs();
-            let is_new_min = a < min1;
-            let runner_up = sel(is_new_min, min1, a);
-            min2 = sel(runner_up < min2, runner_up, min2);
-            min1 = sel(is_new_min, a, min1);
-            min1_idx = sel_idx(is_new_min, k, min1_idx);
-            neg ^= v < 0.0;
-        }
-        let sign_target = Self::target_sign(target_words, c);
-        let signed_scale = flip_if(sign_target * scale, neg);
-        // ±∞ survives only on degenerate degree-0/1 checks; the kernel
-        // substitutes zero there, and so must the pre-scaled magnitudes.
-        let mag1 = signed_scale * if min1.is_finite() { min1 } else { 0.0 };
-        let mag2 = signed_scale * if min2.is_finite() { min2 } else { 0.0 };
-        for (k, (&v, out)) in inputs.iter().zip(c2v[s..e].iter_mut()).enumerate() {
-            let mag = sel(k == min1_idx, mag2, mag1);
-            *out = flip_if(mag, v < 0.0);
-        }
-    }
-
-    fn decode_flooding_scratch(
-        &self,
-        target: &BitVec,
-        scratch: &mut DecoderScratch,
-    ) -> DecodeOutcome {
-        let clamp = self.config.llr_clamp;
-        let num_edges = self.edge_var().len();
-        let words = self.n().div_ceil(64);
-        let DecoderScratch {
-            v2c,
-            c2v,
-            channel,
-            hard,
-            syn,
-            sp,
-            ..
-        } = scratch;
-        let v2c = &mut v2c[..num_edges];
-        let c2v = &mut c2v[..num_edges];
-        let channel = &channel[..self.n()];
-        let hard = &mut hard[..words];
-        let target_words = target.as_words();
-
-        // Variable-to-check messages start at the channel prior.
-        for (msg, &v) in v2c.iter_mut().zip(self.edge_var()) {
-            *msg = channel[v as usize];
-        }
-
-        for iter in 1..=self.config.max_iterations {
-            // Check node update, in place on the contiguous edge slice. The
-            // min-sum default runs the fused sweep; sum-product stages
-            // through the kernel.
-            if let CheckKernel::MinSum { scale } = self.kernel {
-                for c in 0..self.m() {
-                    self.min_sum_flooding_check(c, scale, v2c, c2v, target_words);
-                }
-            } else {
-                for c in 0..self.m() {
-                    let (s, e) = self.check_range(c);
-                    let out = &mut c2v[s..e];
-                    out.copy_from_slice(&v2c[s..e]);
-                    self.kernel
-                        .apply(out, Self::target_sign(target_words, c), sp);
-                }
-            }
-            // Variable node update + packed hard decision.
-            hard.fill(0);
-            for (v, &prior) in channel.iter().enumerate() {
-                let (s, e) = self.var_range(v);
-                let mut total = prior;
-                for &edge in &self.var_edge()[s..e] {
-                    total += c2v[edge as usize];
-                }
-                hard[v >> 6] |= u64::from(total < 0.0) << (v & 63);
-                for &edge in &self.var_edge()[s..e] {
-                    let edge = edge as usize;
-                    v2c[edge] = clamp_sym(total - c2v[edge], clamp);
-                }
-            }
-            if self.syndrome_ok_packed(hard, target_words, syn) {
-                return DecodeOutcome {
-                    error_pattern: self.pattern_from_words(hard),
-                    converged: true,
-                    iterations: iter,
-                };
-            }
-        }
-        DecodeOutcome {
-            error_pattern: self.pattern_from_words(hard),
-            converged: false,
-            iterations: self.config.max_iterations,
-        }
-    }
-
     /// Min-sum check sweep for the layered schedule over the CSR: AVX2 quads
     /// where the schedule found them, the scalar per-check form elsewhere.
     fn min_sum_layered_sweep(
         &self,
-        scale: f64,
         clamp: f64,
         c2v: &mut [f64],
         posterior: &mut [f64],
@@ -879,7 +520,7 @@ impl SyndromeDecoder {
                             csr.0,
                             csr.1,
                             target_words,
-                            scale,
+                            SCALE,
                             clamp,
                             c2v,
                             posterior,
@@ -890,7 +531,6 @@ impl SyndromeDecoder {
                     Self::min_sum_layered_check(
                         csr,
                         c,
-                        scale,
                         clamp,
                         c2v,
                         posterior,
@@ -902,23 +542,21 @@ impl SyndromeDecoder {
             return;
         }
         for c in 0..self.m() {
-            Self::min_sum_layered_check(csr, c, scale, clamp, c2v, posterior, inputs, target_words);
+            Self::min_sum_layered_check(csr, c, clamp, c2v, posterior, inputs, target_words);
         }
     }
 
     /// Scalar min-sum layered update of one check: the extrinsic inputs and
     /// the two-minimum/sign scan in one pass, the outgoing messages and the
-    /// posterior updates in a second, instead of staging through the generic
-    /// kernel. Value-dependent choices are branchless mask selects (the
-    /// min-scan's data-dependent branches would otherwise dominate the
-    /// sweep); arithmetic is bit-identical to the reference. This operation
-    /// sequence is what every lane of the vector sweeps reproduces.
-    #[allow(clippy::too_many_arguments)]
+    /// posterior updates in a second. Value-dependent choices are branchless
+    /// mask selects (the min-scan's data-dependent branches would otherwise
+    /// dominate the sweep); arithmetic is bit-identical to the reference.
+    /// This operation sequence is what every lane of the vector sweeps
+    /// reproduces.
     #[inline]
     fn min_sum_layered_check(
         (check_offsets, edge_var): (&[u32], &[u32]),
         c: usize,
-        scale: f64,
         clamp: f64,
         c2v: &mut [f64],
         posterior: &mut [f64],
@@ -948,7 +586,7 @@ impl SyndromeDecoder {
                 neg ^= val < 0.0;
             }
             let sign_target = Self::target_sign(target_words, c);
-            let signed_scale = flip_if(sign_target * scale, neg);
+            let signed_scale = flip_if(sign_target * SCALE, neg);
             let mag1 = signed_scale * if min1.is_finite() { min1 } else { 0.0 };
             let mag2 = signed_scale * if min2.is_finite() { min2 } else { 0.0 };
             for (k, ((&v, msg), &x)) in vars.iter().zip(msgs.iter_mut()).zip(ins.iter()).enumerate()
@@ -975,8 +613,6 @@ impl SyndromeDecoder {
             inputs,
             hard,
             syn,
-            sp,
-            ..
         } = scratch;
         let c2v = &mut c2v[..num_edges];
         // The caller seeded `posterior` with the channel priors.
@@ -987,30 +623,7 @@ impl SyndromeDecoder {
         c2v.fill(0.0);
 
         for iter in 1..=self.config.max_iterations {
-            if let CheckKernel::MinSum { scale } = self.kernel {
-                self.min_sum_layered_sweep(scale, clamp, c2v, posterior, inputs, target_words);
-            } else {
-                for c in 0..self.m() {
-                    let (s, e) = self.check_range(c);
-                    let deg = e - s;
-                    let ins = &mut inputs[..deg];
-                    let out = &mut c2v[s..e];
-                    // Extrinsic inputs: posterior minus this check's previous
-                    // message, staged both into the input copy and in place.
-                    for (k, o) in out.iter_mut().enumerate() {
-                        let v = self.edge_var()[s + k] as usize;
-                        let x = (posterior[v] - *o).clamp(-clamp, clamp);
-                        ins[k] = x;
-                        *o = x;
-                    }
-                    self.kernel
-                        .apply(out, Self::target_sign(target_words, c), sp);
-                    for (k, o) in out.iter().enumerate() {
-                        let v = self.edge_var()[s + k] as usize;
-                        posterior[v] = (ins[k] + *o).clamp(-clamp, clamp);
-                    }
-                }
-            }
+            self.min_sum_layered_sweep(clamp, c2v, posterior, inputs, target_words);
             hard.fill(0);
             for (v, &llr) in posterior.iter().enumerate() {
                 hard[v >> 6] |= u64::from(llr < 0.0) << (v & 63);
@@ -1035,7 +648,6 @@ impl SyndromeDecoder {
     /// [`BLOCK_STRIDE`] layout.
     fn decode_layered_circulant(
         &self,
-        scale: f64,
         target: &BitVec,
         scratch: &mut DecoderScratch,
     ) -> DecodeOutcome {
@@ -1060,7 +672,7 @@ impl SyndromeDecoder {
                         self.check_offsets(),
                         self.edge_var(),
                         target_words,
-                        scale,
+                        SCALE,
                         clamp,
                         c2v,
                         posterior,
@@ -1069,7 +681,7 @@ impl SyndromeDecoder {
                     crate::simd::pack_negative(posterior, hard);
                 },
                 _ => {
-                    self.circulant_layered_sweep(scale, clamp, c2v, posterior, stash, target_words);
+                    self.circulant_layered_sweep(clamp, c2v, posterior, stash, target_words);
                     for (word, block) in hard.iter_mut().zip(posterior.chunks_exact(BLOCK_STRIDE)) {
                         *word = block[..LANES]
                             .iter()
@@ -1103,7 +715,6 @@ impl SyndromeDecoder {
     /// inputs in the same `[k][lane]` order.
     fn circulant_layered_sweep(
         &self,
-        scale: f64,
         clamp: f64,
         c2v: &mut [f64],
         posterior: &mut [f64],
@@ -1147,7 +758,7 @@ impl SyndromeDecoder {
             let mut mag2 = [0.0f64; LANES];
             for i in 0..LANES {
                 let sign_target = if (target >> i) & 1 == 1 { -1.0 } else { 1.0 };
-                let signed_scale = flip_if(sign_target * scale, neg[i]);
+                let signed_scale = flip_if(sign_target * SCALE, neg[i]);
                 mag1[i] = signed_scale * min1[i];
                 mag2[i] = signed_scale * min2[i];
             }
@@ -1169,97 +780,6 @@ impl SyndromeDecoder {
                 block[..shift].copy_from_slice(&rotated[LANES - shift..]);
                 block.copy_within(..MIRROR, LANES);
             }
-        }
-    }
-
-    fn decode_flooding_reference(&self, target: &BitVec, channel: &[f64]) -> DecodeOutcome {
-        let num_edges = self.edge_var().len();
-        let clamp = self.config.llr_clamp;
-        // Variable-to-check messages, initialised with the channel prior.
-        let mut v2c: Vec<f64> = self
-            .edge_var()
-            .iter()
-            .map(|&v| channel[v as usize])
-            .collect();
-        let mut c2v = vec![0.0f64; num_edges];
-        let mut hard = BitVec::zeros(self.n());
-
-        for iter in 1..=self.config.max_iterations {
-            for c in 0..self.m() {
-                let (s, e) = self.check_range(c);
-                let sign_target = if target.get(c) { -1.0 } else { 1.0 };
-                let mut buf: Vec<f64> = v2c[s..e].to_vec();
-                self.kernel.apply_alloc(&mut buf, sign_target);
-                c2v[s..e].copy_from_slice(&buf);
-            }
-            for (v, &prior) in channel.iter().enumerate() {
-                let (s, e) = self.var_range(v);
-                let mut total = prior;
-                for &edge in &self.var_edge()[s..e] {
-                    total += c2v[edge as usize];
-                }
-                hard.set(v, total < 0.0);
-                for &edge in &self.var_edge()[s..e] {
-                    let edge = edge as usize;
-                    v2c[edge] = (total - c2v[edge]).clamp(-clamp, clamp);
-                }
-            }
-            if self.syndrome_ok_reference(&hard, target) {
-                return DecodeOutcome {
-                    error_pattern: hard,
-                    converged: true,
-                    iterations: iter,
-                };
-            }
-        }
-        DecodeOutcome {
-            error_pattern: hard,
-            converged: false,
-            iterations: self.config.max_iterations,
-        }
-    }
-
-    fn decode_layered_reference(&self, target: &BitVec, channel: &[f64]) -> DecodeOutcome {
-        let num_edges = self.edge_var().len();
-        let clamp = self.config.llr_clamp;
-        let mut posterior: Vec<f64> = channel.to_vec();
-        let mut c2v = vec![0.0f64; num_edges];
-        let mut hard = BitVec::zeros(self.n());
-
-        for iter in 1..=self.config.max_iterations {
-            for c in 0..self.m() {
-                let (s, e) = self.check_range(c);
-                let sign_target = if target.get(c) { -1.0 } else { 1.0 };
-                // Extrinsic inputs: posterior minus this check's previous
-                // message.
-                let mut buf: Vec<f64> = (s..e)
-                    .map(|edge| {
-                        (posterior[self.edge_var()[edge] as usize] - c2v[edge]).clamp(-clamp, clamp)
-                    })
-                    .collect();
-                let inputs = buf.clone();
-                self.kernel.apply_alloc(&mut buf, sign_target);
-                for (k, edge) in (s..e).enumerate() {
-                    posterior[self.edge_var()[edge] as usize] =
-                        (inputs[k] + buf[k]).clamp(-clamp, clamp);
-                    c2v[edge] = buf[k];
-                }
-            }
-            for (v, &llr) in posterior.iter().enumerate() {
-                hard.set(v, llr < 0.0);
-            }
-            if self.syndrome_ok_reference(&hard, target) {
-                return DecodeOutcome {
-                    error_pattern: hard,
-                    converged: true,
-                    iterations: iter,
-                };
-            }
-        }
-        DecodeOutcome {
-            error_pattern: hard,
-            converged: false,
-            iterations: self.config.max_iterations,
         }
     }
 
@@ -1285,8 +805,108 @@ impl SyndromeDecoder {
         }
         syn == target_words
     }
+}
 
-    /// Bit-by-bit convergence check retained for the reference path.
+#[cfg(test)]
+impl SyndromeDecoder {
+    /// The equivalence oracle: the layered min-sum decoder written plainly —
+    /// per-call message buffers, per-check `Vec` construction and cloning,
+    /// its own branchy check update, bit-by-bit syndrome checks. It shares
+    /// only the flat adjacency with the sweeps it checks, and every one of
+    /// them must return its outcome bit for bit.
+    fn decode_reference(
+        &self,
+        target: &BitVec,
+        qber: f64,
+        llr_overrides: &[(usize, f64)],
+    ) -> Result<DecodeOutcome> {
+        self.validate_inputs(target, qber)?;
+        let clamp = self.config.llr_clamp;
+        let mut posterior = vec![self.prior_llr(qber); self.n()];
+        for &(v, llr) in llr_overrides {
+            if v < self.n() {
+                posterior[v] = llr.clamp(-clamp, clamp);
+            }
+        }
+        let mut c2v = vec![0.0f64; self.edge_var().len()];
+        let mut hard = BitVec::zeros(self.n());
+
+        for iter in 1..=self.config.max_iterations {
+            for c in 0..self.m() {
+                let (s, e) = self.check_range(c);
+                let sign_target = if target.get(c) { -1.0 } else { 1.0 };
+                // Extrinsic inputs: posterior minus this check's previous
+                // message.
+                let mut buf: Vec<f64> = (s..e)
+                    .map(|edge| {
+                        (posterior[self.edge_var()[edge] as usize] - c2v[edge]).clamp(-clamp, clamp)
+                    })
+                    .collect();
+                let inputs = buf.clone();
+                Self::min_sum_reference(&mut buf, sign_target);
+                for (k, edge) in (s..e).enumerate() {
+                    posterior[self.edge_var()[edge] as usize] =
+                        (inputs[k] + buf[k]).clamp(-clamp, clamp);
+                    c2v[edge] = buf[k];
+                }
+            }
+            for (v, &llr) in posterior.iter().enumerate() {
+                hard.set(v, llr < 0.0);
+            }
+            if self.syndrome_ok_reference(&hard, target) {
+                return Ok(DecodeOutcome {
+                    error_pattern: hard,
+                    converged: true,
+                    iterations: iter,
+                });
+            }
+        }
+        Ok(DecodeOutcome {
+            error_pattern: hard,
+            converged: false,
+            iterations: self.config.max_iterations,
+        })
+    }
+
+    /// Normalised min-sum update of one check, in place: `values` holds the
+    /// incoming messages and receives the outgoing ones; `sign_target` is
+    /// `-1.0` when the target syndrome bit is set.
+    fn min_sum_reference(values: &mut [f64], sign_target: f64) {
+        // Two smallest magnitudes and the overall sign product.
+        let mut min1 = f64::INFINITY;
+        let mut min2 = f64::INFINITY;
+        let mut min1_idx = 0usize;
+        let mut sign_prod = sign_target;
+        for (i, &v) in values.iter().enumerate() {
+            let a = v.abs();
+            if a < min1 {
+                min2 = min1;
+                min1 = a;
+                min1_idx = i;
+            } else if a < min2 {
+                min2 = a;
+            }
+            if v < 0.0 {
+                sign_prod = -sign_prod;
+            }
+        }
+        // Sign product and scale fold into one factor outside the per-edge
+        // loop; both signs are exactly ±1, so the result is bit-identical to
+        // multiplying them edge by edge.
+        let signed_scale = sign_prod * SCALE;
+        for (i, v) in values.iter_mut().enumerate() {
+            let self_sign = if *v < 0.0 { -1.0 } else { 1.0 };
+            let mag = if i == min1_idx { min2 } else { min1 };
+            *v = self_sign * signed_scale * if mag.is_finite() { mag } else { 0.0 };
+        }
+    }
+
+    fn check_range(&self, c: usize) -> (usize, usize) {
+        let offsets = self.check_offsets();
+        (offsets[c] as usize, offsets[c + 1] as usize)
+    }
+
+    /// Bit-by-bit convergence check.
     fn syndrome_ok_reference(&self, e: &BitVec, target: &BitVec) -> bool {
         for c in 0..self.m() {
             let (s, end) = self.check_range(c);
@@ -1319,61 +939,21 @@ mod tests {
         BitVec::random_with_density(rng, n, p)
     }
 
-    fn decode_roundtrip(config: DecoderConfig, n: usize, rate: f64, qber: f64) -> (bool, usize) {
-        let h = setup(n, rate, 99);
-        let mut rng = derive_rng(7, "decoder-test");
-        let truth = random_error(&mut rng, h.num_vars(), qber);
-        let syndrome = h.syndrome(&truth);
-        let dec = SyndromeDecoder::new(&h, config).unwrap();
-        let out = dec.decode(&syndrome, qber, &[]).unwrap();
-        let exact = out.converged && out.error_pattern == truth;
-        (exact, out.iterations)
-    }
-
     #[test]
     fn min_sum_layered_decodes_low_qber() {
-        let (ok, iters) = decode_roundtrip(DecoderConfig::default(), 4096, 0.5, 0.02);
-        assert!(ok, "rate-1/2 code must correct 2% errors");
-        assert!(iters < 30, "should converge quickly, took {iters}");
-    }
-
-    #[test]
-    fn sum_product_flooding_decodes_low_qber() {
-        let cfg = DecoderConfig {
-            algorithm: DecoderAlgorithm::SumProduct,
-            schedule: Schedule::Flooding,
-            ..DecoderConfig::default()
-        };
-        let (ok, _) = decode_roundtrip(cfg, 4096, 0.5, 0.03);
+        let h = setup(4096, 0.5, 99);
+        let mut rng = derive_rng(7, "decoder-test");
+        let truth = random_error(&mut rng, h.num_vars(), 0.02);
+        let dec = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
+        let out = dec.decode(&h.syndrome(&truth), 0.02, &[]).unwrap();
         assert!(
-            ok,
-            "sum-product flooding must correct 3% errors at rate 1/2"
+            out.converged && out.error_pattern == truth,
+            "rate-1/2 code must correct 2% errors"
         );
-    }
-
-    #[test]
-    fn layered_converges_faster_than_flooding() {
-        let h = setup(4096, 0.5, 5);
-        let mut rng = derive_rng(8, "decoder-test");
-        let truth = random_error(&mut rng, h.num_vars(), 0.04);
-        let syndrome = h.syndrome(&truth);
-        let layered = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
-        let flooding = SyndromeDecoder::new(
-            &h,
-            DecoderConfig {
-                schedule: Schedule::Flooding,
-                ..DecoderConfig::default()
-            },
-        )
-        .unwrap();
-        let out_l = layered.decode(&syndrome, 0.04, &[]).unwrap();
-        let out_f = flooding.decode(&syndrome, 0.04, &[]).unwrap();
-        assert!(out_l.converged && out_f.converged);
         assert!(
-            out_l.iterations <= out_f.iterations,
-            "layered ({}) should not need more iterations than flooding ({})",
-            out_l.iterations,
-            out_f.iterations
+            out.iterations < 30,
+            "should converge quickly, took {}",
+            out.iterations
         );
     }
 
@@ -1466,16 +1046,13 @@ mod tests {
             ..DecoderConfig::default()
         };
         assert!(SyndromeDecoder::new(&h, bad).is_err());
-        let bad = DecoderConfig {
-            algorithm: DecoderAlgorithm::MinSum { scale_pct: 0 },
-            ..DecoderConfig::default()
-        };
-        assert!(SyndromeDecoder::new(&h, bad).is_err());
-        let bad = DecoderConfig {
-            llr_clamp: -1.0,
-            ..DecoderConfig::default()
-        };
-        assert!(SyndromeDecoder::new(&h, bad).is_err());
+        for llr_clamp in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let bad = DecoderConfig {
+                llr_clamp,
+                ..DecoderConfig::default()
+            };
+            assert!(SyndromeDecoder::new(&h, bad).is_err(), "{llr_clamp}");
+        }
     }
 
     #[test]
@@ -1490,41 +1067,30 @@ mod tests {
         assert_eq!(out.error_pattern, truth);
     }
 
-    /// Every algorithm × schedule combination must produce bit-identical
-    /// outcomes between the scratch and reference paths, including with
-    /// overrides and at non-converging operating points.
+    /// The scratch and reference paths produce bit-identical outcomes,
+    /// including with overrides and at a non-converging operating point.
     #[test]
     fn scratch_path_is_bit_identical_to_reference() {
-        let configs = [
-            (DecoderAlgorithm::NORMALIZED_MIN_SUM, Schedule::Layered),
-            (DecoderAlgorithm::NORMALIZED_MIN_SUM, Schedule::Flooding),
-            (DecoderAlgorithm::SumProduct, Schedule::Layered),
-            (DecoderAlgorithm::SumProduct, Schedule::Flooding),
-        ];
         let h = setup(2048, 0.5, 33);
         let mut rng = derive_rng(34, "decoder-equiv");
         let mut scratch = DecoderScratch::new();
-        for (algorithm, schedule) in configs {
-            let config = DecoderConfig {
-                algorithm,
-                schedule,
-                max_iterations: 25,
-                ..DecoderConfig::default()
-            };
-            let dec = SyndromeDecoder::new(&h, config).unwrap();
-            for &(qber, true_qber) in &[(0.02, 0.02), (0.02, 0.12)] {
-                let truth = random_error(&mut rng, h.num_vars(), true_qber);
-                let syndrome = h.syndrome(&truth);
-                let overrides: Vec<(usize, f64)> = (0..40).map(|v| (v, 25.0)).collect();
-                let reference = dec.decode_reference(&syndrome, qber, &overrides).unwrap();
-                let optimized = dec
-                    .decode_with_scratch(&syndrome, qber, &overrides, &mut scratch)
-                    .unwrap();
-                assert_eq!(
-                    reference, optimized,
-                    "outcomes diverged for {algorithm:?}/{schedule:?} at qber {true_qber}"
-                );
-            }
+        let config = DecoderConfig {
+            max_iterations: 25,
+            ..DecoderConfig::default()
+        };
+        let dec = SyndromeDecoder::new(&h, config).unwrap();
+        for &(qber, true_qber) in &[(0.02, 0.02), (0.02, 0.12)] {
+            let truth = random_error(&mut rng, h.num_vars(), true_qber);
+            let syndrome = h.syndrome(&truth);
+            let overrides: Vec<(usize, f64)> = (0..40).map(|v| (v, 25.0)).collect();
+            let reference = dec.decode_reference(&syndrome, qber, &overrides).unwrap();
+            let optimized = dec
+                .decode_with_scratch(&syndrome, qber, &overrides, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                reference, optimized,
+                "outcomes diverged at qber {true_qber}"
+            );
         }
     }
 
@@ -1704,20 +1270,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn check_kernel_matches_algorithm_parameters() {
-        match CheckKernel::new(DecoderAlgorithm::MinSum { scale_pct: 50 }) {
-            CheckKernel::MinSum { scale } => assert!((scale - 0.5).abs() < 1e-12),
-            other => panic!("unexpected kernel {other:?}"),
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// PEG and quasi-cyclic matrices, built once (construction is the
+        /// expensive part, the property is not).
+        fn matrices() -> &'static [ParityCheckMatrix] {
+            static MATRICES: OnceLock<Vec<ParityCheckMatrix>> = OnceLock::new();
+            MATRICES.get_or_init(|| {
+                let mut all: Vec<ParityCheckMatrix> = [256usize, 512, 1024, 2048]
+                    .iter()
+                    .map(|&n| setup(n, 0.5, 700 + n as u64))
+                    .collect();
+                for n in [1024usize, 2048] {
+                    let h = ParityCheckMatrix::quasi_cyclic(n, n / 2, 64, 6, n as u64).unwrap();
+                    assert!(h.is_circulant_layered());
+                    all.push(h);
+                }
+                all
+            })
         }
-        // The kernel is self-inverse on signs: a single negative input keeps
-        // its magnitude pairing and flips every other output's sign.
-        let kernel = CheckKernel::new(DecoderAlgorithm::NORMALIZED_MIN_SUM);
-        let mut values = [1.0, -2.0, 3.0];
-        let mut sp = SumProductScratch::default();
-        kernel.apply(&mut values, 1.0, &mut sp);
-        assert!((values[0] - -1.5).abs() < 1e-12, "got {values:?}");
-        assert!((values[1] - 0.75).abs() < 1e-12, "got {values:?}");
-        assert!((values[2] - -0.75).abs() < 1e-12, "got {values:?}");
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            /// Every sweep the matrix admits returns the reference's outcome
+            /// (error pattern, convergence flag, iteration count) under
+            /// shortened-style LLR overrides, on PEG and quasi-cyclic codes.
+            #[test]
+            fn scratch_decoder_matches_reference(seed in any::<u64>(), qber in 0.005f64..0.08) {
+                let matrices = matrices();
+                let h = &matrices[(seed % matrices.len() as u64) as usize];
+                let mut rng = derive_rng(seed, "prop-decoder-equiv");
+                let truth = random_error(&mut rng, h.num_vars(), qber);
+                let overrides: Vec<(usize, f64)> = (0..16).map(|v| (v, 25.0)).collect();
+                let dec = SyndromeDecoder::new(h, DecoderConfig::default()).unwrap();
+                let mut scratch = DecoderScratch::new();
+                decode_on_every_path(&dec, &h.syndrome(&truth), qber, &overrides, &mut scratch);
+            }
+        }
     }
 }

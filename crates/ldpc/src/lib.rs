@@ -12,9 +12,9 @@
 //! * [`matrix`] — sparse parity-check matrices (one flat, shared CSR) with
 //!   progressive-edge-growth (PEG) and quasi-cyclic constructions, the latter
 //!   recognised as circulant layers with rotate-XOR syndromes;
-//! * [`decoder`] — belief-propagation syndrome decoders (sum-product and
-//!   normalised min-sum, flooding and layered schedules), with a
-//!   circulant-lane layered min-sum sweep for the quasi-cyclic codes;
+//! * [`decoder`] — the belief-propagation syndrome decoder: normalised
+//!   min-sum on the layered schedule, run as a circulant-lane sweep on the
+//!   quasi-cyclic codes and over the CSR on the others;
 //! * [`reconciler`] — the rate-adaptive reconciliation protocol with a code
 //!   library, shortening-based fine rate adaptation and leakage accounting.
 //!
@@ -46,10 +46,7 @@ pub mod reconciler;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
-pub use decoder::{
-    CheckKernel, DecodeOutcome, DecoderAlgorithm, DecoderConfig, DecoderScratch, Schedule,
-    SumProductScratch, SyndromeDecoder,
-};
+pub use decoder::{DecodeOutcome, DecoderConfig, DecoderScratch, SyndromeDecoder};
 pub use matrix::{Construction, ParityCheckMatrix};
 pub use reconciler::{
     CodeLibrary, LdpcOutcome, LdpcReconciler, ReconcilerConfig, ReconcilerScratch,

@@ -296,10 +296,11 @@ impl ReconcilerConfig {
                 "must be at least 64 bits",
             ));
         }
-        if self.efficiency_target < 1.0 {
+        // Written so that NaN fails it too.
+        if !(self.efficiency_target.is_finite() && self.efficiency_target >= 1.0) {
             return Err(QkdError::invalid_parameter(
                 "efficiency_target",
-                "cannot beat the Shannon limit (must be >= 1.0)",
+                "must be finite and >= 1.0 (cannot beat the Shannon limit)",
             ));
         }
         if self.max_rate_retries == 0 {
@@ -881,6 +882,21 @@ mod tests {
         cfg.max_rate_retries = 0;
         assert!(LdpcReconciler::new(cfg).is_err());
         assert!(CodeLibrary::new(1024, &[], DecoderConfig::default(), 1).is_err());
+
+        // A NaN or infinite float used to pass validation: a NaN clamp then
+        // panicked in the first shortened decode, and a NaN or infinite
+        // efficiency target sent every block to the lowest-rate code.
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut cfg = ReconcilerConfig::for_block_size(1024);
+            cfg.decoder.llr_clamp = value;
+            assert!(LdpcReconciler::new(cfg).is_err(), "llr_clamp {value}");
+            let mut cfg = ReconcilerConfig::for_block_size(1024);
+            cfg.efficiency_target = value;
+            assert!(
+                LdpcReconciler::new(cfg).is_err(),
+                "efficiency_target {value}"
+            );
+        }
     }
 
     /// Blocks of 16 384 bits and above get quasi-cyclic codes at circulant
