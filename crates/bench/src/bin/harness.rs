@@ -39,12 +39,14 @@ smoke benchmark.
 Experiments (aligned text tables):
   all            every table and figure below, in order
   table1         per-stage CPU throughput breakdown
-  table2         LDPC decoder throughput by backend and block size
+  table2         LDPC decode throughput by device and block size: cpu row
+                 measured, accelerator rows modeled
   table3         reconciliation efficiency: Cascade vs rate-adaptive LDPC
   fig1           secret-key rate vs fibre distance
   fig2           end-to-end throughput vs block size: cpu row measured,
                  accelerator rows modeled from the same stage times
-  fig3           Toeplitz privacy-amplification throughput
+  fig3           Toeplitz privacy-amplification throughput: naive/clmul rows
+                 measured, sim-gpu row modeled
   fig4           placement table: calibrated decode + hash cost per
                  placement and block size, and the scheduler's pick
   fig5           LDPC offload latency crossover

@@ -1,6 +1,5 @@
 //! One function per table/figure of the reconstructed evaluation.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use qkd_cascade::{CascadeConfig, CascadeReconciler};
@@ -9,9 +8,8 @@ use qkd_core::{
     VerificationConfig,
 };
 use qkd_hetero::{
-    decide_placement, kernel_for_stage, modeled_time, CostCalibrator, CostModel, CpuDevice, Device,
-    DeviceKind, KernelKind, KernelTask, LinkPlacement, SimFpga, SimGpu, StageMetrics,
-    ThroughputReport,
+    decide_placement, kernel_for_stage, modeled_time, CostCalibrator, DeviceKind, KernelKind,
+    LinkPlacement, StageMetrics, ThroughputReport,
 };
 use qkd_ldpc::{
     DecoderConfig, DecoderScratch, LdpcReconciler, ParityCheckMatrix, ReconcilerConfig,
@@ -60,39 +58,36 @@ pub fn table1() {
     println!("(expected shape: reconciliation dominates, privacy amplification second)");
 }
 
-/// Table 2 — LDPC decoder throughput by backend and block size.
+/// Table 2 — LDPC decoder throughput by device and block size. The cpu row
+/// times one host decode; the accelerator rows are the static cost profiles
+/// (a calibrator with no samples) of the same block.
 pub fn table2() {
     header(
-        "Table 2: LDPC decode throughput by backend",
+        "Table 2: LDPC decode throughput by device (cpu measured, accelerators modeled)",
         &format!(
             "{:<10} {:<10} {:>14} {:>14}",
-            "block", "backend", "modeled (ms)", "Mbit/s"
+            "block", "device", "time (ms)", "Mbit/s"
         ),
     );
+    let calibrator = CostCalibrator::new();
     for &block in &[4096usize, 16_384, 65_536] {
-        let matrix = Arc::new(ParityCheckMatrix::for_rate(block, 0.5, 21).unwrap());
-        let decoder = Arc::new(SyndromeDecoder::new(&matrix, DecoderConfig::default()).unwrap());
+        let matrix = ParityCheckMatrix::for_rate(block, 0.5, 21).unwrap();
+        let decoder = SyndromeDecoder::new(&matrix, DecoderConfig::default()).unwrap();
         let mut rng = derive_rng(23, "table2");
-        let truth = BitVec::random_with_density(&mut rng, matrix.num_vars(), 0.03);
-        let task = KernelTask::LdpcDecode {
-            target_syndrome: matrix.syndrome(&truth),
-            qber: 0.03,
-            decoder,
-            llr_overrides: Vec::new(),
-        };
-        let devices: Vec<Box<dyn Device>> = vec![
-            Box::new(CpuDevice::single_core()),
-            Box::new(SimGpu::new()),
-            Box::new(SimFpga::new()),
-        ];
-        for device in &devices {
-            let result = device.execute(&task).unwrap();
+        let truth = BitVec::random_with_density(&mut rng, block, 0.03);
+        let syndrome = matrix.syndrome(&truth);
+        let (_, measured) = timed(|| decoder.decode(&syndrome, 0.03, &[]).unwrap());
+        for device in [DeviceKind::Cpu, DeviceKind::SimGpu, DeviceKind::SimFpga] {
+            let t = match device {
+                DeviceKind::Cpu => measured,
+                _ => calibrator.predict(&device.cost_model(), KernelKind::LdpcDecode, block),
+            };
             println!(
                 "{:<10} {:<10} {:>14.3} {:>14.2}",
                 block,
                 device.name(),
-                result.modeled_time.as_secs_f64() * 1e3,
-                result.modeled_throughput_bps(matrix.num_vars()) / 1e6
+                t.as_secs_f64() * 1e3,
+                mbps(block as f64, t)
             );
         }
     }
@@ -210,7 +205,7 @@ fn calibrate_on_host(block: usize) -> (CostCalibrator, BlockResult) {
     (calibrator, last.expect("MIN_SAMPLES is positive"))
 }
 
-/// Figure 2 — end-to-end post-processing throughput vs block size per backend.
+/// Figure 2 — end-to-end post-processing throughput vs block size per placement.
 /// Each block size runs on the host only; the accelerator rows are the same
 /// measured stage times with the decode and the hash re-priced by the
 /// calibrated cost model ([`qkd_hetero::modeled_time`]).
@@ -250,15 +245,18 @@ pub fn fig2() {
     println!("(expected shape: accelerators pull ahead as the block grows)");
 }
 
-/// Figure 3 — Toeplitz privacy-amplification throughput by strategy/backend.
+/// Figure 3 — Toeplitz privacy-amplification throughput by strategy, with
+/// the simulated GPU's static cost profile for the same hash alongside.
 pub fn fig3() {
     header(
-        "Figure 3: Toeplitz hashing throughput (compress to 50%)",
+        "Figure 3: Toeplitz hashing throughput (compress to 50%; naive/clmul measured, sim-gpu modeled)",
         &format!(
             "{:<10} {:<10} {:>14} {:>14}",
             "input", "strategy", "time (ms)", "Mbit/s"
         ),
     );
+    let gpu = DeviceKind::SimGpu;
+    let calibrator = CostCalibrator::new();
     for &n in &[16_384usize, 65_536, 262_144] {
         let mut rng = derive_rng(51, "fig3");
         let input = BitVec::random(&mut rng, n);
@@ -283,19 +281,13 @@ pub fn fig3() {
                 mbps(n as f64, t)
             );
         }
-        // Simulated GPU offload of the same hash.
-        let task = KernelTask::ToeplitzHash {
-            input: input.clone(),
-            hash: Arc::new(hash),
-            strategy: ToeplitzStrategy::Clmul,
-        };
-        let result = SimGpu::new().execute(&task).unwrap();
+        let t = calibrator.predict(&gpu.cost_model(), KernelKind::ToeplitzHash, n);
         println!(
             "{:<10} {:<10} {:>14.3} {:>14.2}",
             n,
-            "sim-gpu",
-            result.modeled_time.as_secs_f64() * 1e3,
-            result.modeled_throughput_bps(n) / 1e6
+            gpu.name(),
+            t.as_secs_f64() * 1e3,
+            mbps(n as f64, t)
         );
     }
     println!("(expected shape: naive collapses, clmul scales, GPU advantage grows with n)");
@@ -358,16 +350,14 @@ pub fn fig5() {
             "block", "cpu (model)", "gpu (model)", "fpga (model)"
         ),
     );
-    let cpu = CostModel::cpu_core();
-    let gpu = CostModel::sim_gpu();
-    let fpga = CostModel::sim_fpga();
+    let [cpu, gpu, fpga] =
+        [DeviceKind::Cpu, DeviceKind::SimGpu, DeviceKind::SimFpga].map(DeviceKind::cost_model);
     let mut crossover: Option<usize> = None;
     for exp in 10..=24 {
         let n = 1usize << exp;
-        let work = n as f64 * 3.0 * 20.0;
-        let t_cpu = cpu.predict_raw(KernelKind::LdpcDecode, n, n, work);
-        let t_gpu = gpu.predict_raw(KernelKind::LdpcDecode, n, n, work);
-        let t_fpga = fpga.predict_raw(KernelKind::LdpcDecode, n, n, work);
+        let t_cpu = cpu.predict(KernelKind::LdpcDecode, n);
+        let t_gpu = gpu.predict(KernelKind::LdpcDecode, n);
+        let t_fpga = fpga.predict(KernelKind::LdpcDecode, n);
         if crossover.is_none() && t_gpu < t_cpu {
             crossover = Some(n);
         }

@@ -47,10 +47,6 @@ pub use engine::{BlockResult, PostProcessor};
 pub use metrics::{SessionAccounting, SessionSummary};
 pub use verification::{verify_keys, VerificationConfig, VerificationOutcome};
 
-// Re-exported so callers that fold `BlockResult::stage_times` into a
-// per-stage report need not depend on `qkd-hetero` directly.
-pub use qkd_hetero::ThroughputReport;
-
 // Re-exported so callers that drive engines from their own worker threads
 // (e.g. the fleet manager) can hold a long-lived reconciliation scratch
 // without depending on `qkd-ldpc` directly.

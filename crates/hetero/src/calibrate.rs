@@ -1,27 +1,27 @@
 //! Online calibration of the static device cost models against measured
 //! stage throughput.
 //!
-//! The static profiles ([`CostModel::cpu_core`], [`CostModel::sim_gpu`],
-//! [`CostModel::sim_fpga`]) describe *relative* device behaviour — crossover
-//! structure, launch overheads, bandwidth asymmetries — but their absolute
-//! constants never match a live host exactly. The calibrator closes that gap
-//! from the fleet's own [`ThroughputReport`]s: for each kernel kind it
-//! accumulates measured host seconds, logical items and input bits, fits a
-//! measured-over-predicted scale factor against the CPU baseline model, and
-//! applies that scale to *every* backend's prediction. The assumption — the
-//! published relative speedups hold while the absolute constants drift with
-//! the host — is exactly the paper's, and it means one cheap scalar per
-//! kernel kind turns the static profiles into live ones.
+//! The static profiles ([`DeviceKind::cost_model`]) describe *relative*
+//! device behaviour — crossover structure, launch overheads, link bandwidth —
+//! but their absolute constants never match a live host exactly. The
+//! calibrator closes that gap from the fleet's own [`ThroughputReport`]s: for
+//! each kernel kind it accumulates measured host seconds, logical items and
+//! input bits, fits a measured-over-predicted scale factor against the CPU
+//! profile, and applies that scale to *every* device's prediction. The
+//! assumption — the published relative speedups hold while the absolute
+//! constants drift with the host — is exactly the paper's, and it means one
+//! cheap scalar per kernel kind turns the static profiles into live ones.
 //!
 //! Placement code asks [`CostCalibrator::predict`] for the calibrated cost of
-//! a stage on a candidate backend's model and picks the cheapest; with no
+//! a stage on a candidate device's model and picks the cheapest; with no
 //! samples yet the scale is 1.0 and decisions fall back to the static
 //! profiles, so cold-start behaviour is well defined.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use crate::cost::{planned_work_units, CostModel};
+use crate::cost::CostModel;
+use crate::device::DeviceKind;
 use crate::kernel::KernelKind;
 use crate::profiler::{StageMetrics, ThroughputReport};
 
@@ -59,12 +59,10 @@ struct Observed {
     bits_in: u64,
 }
 
-/// Fits measured stage times against the CPU baseline cost model and scales
-/// backend predictions accordingly.
-#[derive(Debug, Clone)]
+/// Fits measured stage times against the CPU profile and scales every
+/// device's predictions accordingly.
+#[derive(Debug, Clone, Default)]
 pub struct CostCalibrator {
-    /// The static CPU profile the measurements are fitted against.
-    baseline: CostModel,
     observed: HashMap<KernelKind, Observed>,
 }
 
@@ -78,13 +76,10 @@ impl CostCalibrator {
     /// wrong in structure, not constants, and should not be extrapolated.
     const SCALE_BOUNDS: (f64, f64) = (0.02, 50.0);
 
-    /// A calibrator fitted against the static CPU-core profile.
+    /// A calibrator with no observations yet (every scale neutral).
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            baseline: CostModel::cpu_core(),
-            observed: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Folds one stage's accumulated metrics into the kind's observed
@@ -121,7 +116,7 @@ impl CostCalibrator {
     }
 
     /// Measured-over-predicted scale for a kind: mean measured seconds per
-    /// item divided by the CPU baseline's prediction at the mean block size.
+    /// item divided by the CPU profile's prediction at the mean block size.
     /// Neutral (1.0) until [`Self::MIN_SAMPLES`] items have been observed;
     /// clamped so a structurally-wrong fit cannot run away.
     #[must_use]
@@ -134,14 +129,9 @@ impl CostCalibrator {
         }
         let measured = o.host_secs / o.items as f64;
         let mean_bits = (o.bits_in / o.items) as usize;
-        let predicted = self
-            .baseline
-            .predict_raw(
-                kind,
-                mean_bits,
-                mean_bits,
-                planned_work_units(kind, mean_bits),
-            )
+        let predicted = DeviceKind::Cpu
+            .cost_model()
+            .predict(kind, mean_bits)
             .as_secs_f64();
         if predicted <= 0.0 {
             return 1.0;
@@ -150,24 +140,13 @@ impl CostCalibrator {
     }
 
     /// Calibrated prediction of one `kind` invocation over `block_bits` bits
-    /// on the backend described by `model`: the static prediction times the
-    /// fitted host scale, so relative backend speedups are preserved while
+    /// on the device described by `model`: the static prediction times the
+    /// fitted host scale, so relative device speedups are preserved while
     /// absolute costs track the live host.
     #[must_use]
     pub fn predict(&self, model: &CostModel, kind: KernelKind, block_bits: usize) -> Duration {
-        let raw = model.predict_raw(
-            kind,
-            block_bits,
-            block_bits,
-            planned_work_units(kind, block_bits),
-        );
+        let raw = model.predict(kind, block_bits);
         Duration::from_secs_f64(raw.as_secs_f64() * self.scale(kind))
-    }
-}
-
-impl Default for CostCalibrator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -185,15 +164,10 @@ mod tests {
     fn cold_start_is_neutral() {
         let cal = CostCalibrator::new();
         assert_eq!(cal.scale(KernelKind::LdpcDecode), 1.0);
-        let static_cost = CostModel::sim_gpu().predict_raw(
-            KernelKind::LdpcDecode,
-            8192,
-            8192,
-            planned_work_units(KernelKind::LdpcDecode, 8192),
-        );
+        let gpu = DeviceKind::SimGpu.cost_model();
         assert_eq!(
-            cal.predict(&CostModel::sim_gpu(), KernelKind::LdpcDecode, 8192),
-            static_cost
+            cal.predict(&gpu, KernelKind::LdpcDecode, 8192),
+            gpu.predict(KernelKind::LdpcDecode, 8192)
         );
     }
 
@@ -215,13 +189,9 @@ mod tests {
     fn scale_tracks_measured_over_predicted() {
         let mut cal = CostCalibrator::new();
         let bits = 8192u64;
-        let baseline = CostModel::cpu_core()
-            .predict_raw(
-                KernelKind::LdpcDecode,
-                bits as usize,
-                bits as usize,
-                planned_work_units(KernelKind::LdpcDecode, bits as usize),
-            )
+        let baseline = DeviceKind::Cpu
+            .cost_model()
+            .predict(KernelKind::LdpcDecode, bits as usize)
             .as_secs_f64();
         // The host measures 3× the static CPU prediction per item.
         let items = 10u64;
@@ -231,16 +201,12 @@ mod tests {
         assert!((scale - 3.0).abs() < 1e-6, "scale {scale}");
         // The GPU prediction is scaled by the same factor, so the relative
         // CPU/GPU speedup is preserved.
-        let gpu_static = CostModel::sim_gpu()
-            .predict_raw(
-                KernelKind::LdpcDecode,
-                bits as usize,
-                bits as usize,
-                planned_work_units(KernelKind::LdpcDecode, bits as usize),
-            )
+        let gpu = DeviceKind::SimGpu.cost_model();
+        let gpu_static = gpu
+            .predict(KernelKind::LdpcDecode, bits as usize)
             .as_secs_f64();
         let gpu_cal = cal
-            .predict(&CostModel::sim_gpu(), KernelKind::LdpcDecode, bits as usize)
+            .predict(&gpu, KernelKind::LdpcDecode, bits as usize)
             .as_secs_f64();
         assert!((gpu_cal / gpu_static - 3.0).abs() < 1e-6);
     }
@@ -253,6 +219,75 @@ mod tests {
             &metrics(100, Duration::from_secs(3600), 100 * 4096),
         );
         assert!(cal.scale(KernelKind::PolyMac) <= 50.0);
+    }
+
+    /// Calibrated nanoseconds of every kernel kind on every device class at
+    /// four block sizes: one row per (device, kind) in declaration order,
+    /// one column per entry of `PINNED_BITS`.
+    fn pricing_table(cal: &CostCalibrator) -> Vec<[u128; 4]> {
+        const PINNED_BITS: [usize; 4] = [4096, 16_384, 65_536, 262_144];
+        let kinds = [
+            KernelKind::Sift,
+            KernelKind::LdpcDecode,
+            KernelKind::ToeplitzHash,
+            KernelKind::PolyMac,
+        ];
+        let mut rows = Vec::new();
+        for device in [DeviceKind::Cpu, DeviceKind::SimGpu, DeviceKind::SimFpga] {
+            for kind in kinds {
+                rows.push(
+                    PINNED_BITS
+                        .map(|bits| cal.predict(&device.cost_model(), kind, bits).as_nanos()),
+                );
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn calibrated_pricing_is_pinned() {
+        let cold: Vec<[u128; 4]> = vec![
+            // cpu: sift, ldpc-decode, toeplitz, poly-mac
+            [2248, 8392, 32968, 131272],
+            [1229000, 4915400, 19661000, 78643400],
+            [10440, 164040, 2621640, 41943240],
+            [1053, 1053, 1053, 1053],
+            // sim-gpu
+            [15184, 15737, 17949, 26796],
+            [35562, 97248, 343991, 1330963],
+            [16106, 31712, 278455, 4214547],
+            [15594, 15840, 16823, 20755],
+            // sim-fpga
+            [1414, 3258, 10630, 40122],
+            [99309, 394835, 1576941, 6305363],
+            [2541, 26195, 397293, 6305363],
+            [1133, 1747, 4205, 14035],
+        ];
+        let mut warm_fit = CostCalibrator::new();
+        for (kind, total) in [
+            (KernelKind::Sift, Duration::from_micros(160)),
+            (KernelKind::LdpcDecode, Duration::from_millis(20)),
+            (KernelKind::ToeplitzHash, Duration::from_millis(4)),
+            (KernelKind::PolyMac, Duration::from_micros(40)),
+        ] {
+            warm_fit.observe(kind, &metrics(8, total, 8 * 16_384));
+        }
+        let warm: Vec<[u128; 4]> = vec![
+            [5357, 20000, 78570, 312850],
+            [625076, 2500000, 9999695, 39998474],
+            [31822, 500000, 7990856, 127844550],
+            [5000, 5000, 5000, 5000],
+            [36187, 37505, 42776, 63861],
+            [18087, 49461, 174956, 676935],
+            [49092, 96659, 848741, 12846095],
+            [74046, 75214, 79881, 98552],
+            [3370, 7765, 25334, 95620],
+            [50509, 200815, 802041, 3206943],
+            [7745, 79843, 1210964, 19218980],
+            [5380, 8295, 19967, 66643],
+        ];
+        assert_eq!(pricing_table(&CostCalibrator::new()), cold);
+        assert_eq!(pricing_table(&warm_fit), warm);
     }
 
     #[test]

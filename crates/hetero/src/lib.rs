@@ -1,34 +1,31 @@
-//! Heterogeneous execution framework for QKD post-processing kernels.
+//! Cost models and placement for QKD post-processing kernels.
 //!
 //! The paper's thesis is that the post-processing stages have very different
 //! compute profiles — LDPC decoding is iteration-bound and massively data
 //! parallel, Toeplitz privacy amplification is a large binary convolution,
 //! authentication is tiny — so a production system maps each kernel onto the
-//! device where it runs best (multicore CPU, GPU, FPGA) and pipelines blocks
-//! across devices.
+//! device where it runs best (multicore CPU, GPU, FPGA).
 //!
-//! No physical accelerator is available in this reproduction, so the
-//! framework pairs *bit-exact functional execution* on the CPU with
-//! *analytic cost models* of the accelerators:
+//! No physical accelerator is available in this reproduction, and this crate
+//! executes nothing: the engine runs every stage on the host and measures
+//! it. What this crate does is *price* a kernel — a (kernel kind, block
+//! bits) pair — on each device class:
 //!
-//! * [`CpuDevice`] — executes kernels with the substrate crates and reports
-//!   measured wall-clock time (optionally divided across worker threads for
-//!   batch kernels);
-//! * [`SimGpu`] — same functional result, but the reported latency follows a
-//!   launch + PCIe-transfer + bandwidth model with a batching discount,
-//!   reproducing the characteristic "slow at small blocks, dominant at large
-//!   blocks" crossover;
-//! * [`SimFpga`] — streaming model with deterministic per-bit latency and a
-//!   fixed pipeline fill cost, reproducing line-rate behaviour independent of
-//!   block size.
+//! * [`DeviceKind`] names the classes and hands out their static
+//!   [`CostModel`]s: the host CPU, a simulated GPU (launch + PCIe transfer +
+//!   bandwidth, "slow at small blocks, dominant at large blocks") and a
+//!   simulated FPGA (negligible launch, line-rate streaming);
+//! * [`CostModel::predict`] is the one pricing function;
+//! * [`calibrate`] scales those prices to the live host from measured stage
+//!   times;
+//! * [`placement`] is the single owner of "where would this kernel be
+//!   cheapest, and what would it cost there": [`decide_placement`] picks a
+//!   link's CPU / decode-only / whole-link split and [`modeled_time`]
+//!   converts a host-measured stage time into modeled time with the same
+//!   calibrated prediction.
 //!
-//! On top of the devices sit [`placement`] — the single owner of "where
-//! would this kernel be cheapest, and what would it cost there": the
-//! online-[`calibrate`]d cost models decide a link's CPU / decode-only /
-//! whole-link split and convert host-measured stage time into modeled time
-//! with the same prediction. Measured and modeled time stay separate columns
-//! ([`StageMetrics::host_time`] / [`StageMetrics::modeled_time`]); nothing
-//! here changes what the engine executes.
+//! Measured and modeled time stay separate columns
+//! ([`StageMetrics::host_time`] / [`StageMetrics::modeled_time`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,8 +38,8 @@ pub mod placement;
 pub mod profiler;
 
 pub use calibrate::{kernel_for_stage, CostCalibrator};
-pub use cost::{planned_work_units, CostModel};
-pub use device::{CpuDevice, Device, DeviceKind, SimFpga, SimGpu};
-pub use kernel::{KernelKind, KernelResult, KernelTask};
+pub use cost::CostModel;
+pub use device::DeviceKind;
+pub use kernel::KernelKind;
 pub use placement::{decide_placement, modeled_time, LinkPlacement};
 pub use profiler::{StageMetrics, ThroughputReport};

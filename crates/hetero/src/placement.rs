@@ -116,8 +116,8 @@ mod tests {
 
     #[test]
     fn calibration_scales_cannot_invert_same_kind_comparisons() {
-        // The calibrator multiplies every backend's prediction of a kind by
-        // the same fitted scale, so whichever backend wins the decode
+        // The calibrator multiplies every device's prediction of a kind by
+        // the same fitted scale, so whichever device wins the decode
         // statically keeps winning after calibration.
         let mut cal = CostCalibrator::new();
         let mut m = StageMetrics::default();
@@ -165,6 +165,64 @@ mod tests {
                 modeled_time(&cal, LinkPlacement::Cpu, kind, 8192, host),
                 host
             );
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Whatever the block size and however the host measured the
+            /// decode and the hash, the decision costs no more than any
+            /// placement the fleet could pick, priced the way the ledger
+            /// prices it: host-side kernels at the calibrated CPU
+            /// prediction, offloaded ones through `modeled_time`.
+            /// `decode` and `hash` are (items, µs per item, bits per item).
+            #[test]
+            fn decision_is_the_cheapest_candidate_under_modeled_time(
+                block_bits in 64usize..(1 << 22),
+                decode in (CostCalibrator::MIN_SAMPLES..64, 1u64..100_000, 64u64..(1 << 22)),
+                hash in (CostCalibrator::MIN_SAMPLES..64, 1u64..100_000, 64u64..(1 << 22)),
+            ) {
+                let mut cal = CostCalibrator::new();
+                for (kind, (items, micros, bits)) in [
+                    (KernelKind::LdpcDecode, decode),
+                    (KernelKind::ToeplitzHash, hash),
+                ] {
+                    let host = Duration::from_micros(micros * items);
+                    let mut m = StageMetrics::default();
+                    m.record_batch(host, host, (bits * items) as usize, 0, items);
+                    cal.observe(kind, &m);
+                }
+                let cpu = DeviceKind::Cpu.cost_model();
+                let cost = |placement| -> Duration {
+                    [KernelKind::LdpcDecode, KernelKind::ToeplitzHash]
+                        .into_iter()
+                        .map(|kind| {
+                            let host = cal.predict(&cpu, kind, block_bits);
+                            modeled_time(&cal, placement, kind, block_bits, host)
+                        })
+                        .sum()
+                };
+                let decision = decide_placement(&cal, block_bits);
+                for candidate in [
+                    LinkPlacement::Cpu,
+                    LinkPlacement::DecodeOnly(DeviceKind::SimGpu),
+                    LinkPlacement::DecodeOnly(DeviceKind::SimFpga),
+                    LinkPlacement::Whole(DeviceKind::SimGpu),
+                    LinkPlacement::Whole(DeviceKind::SimFpga),
+                ] {
+                    prop_assert!(
+                        cost(decision) <= cost(candidate),
+                        "{} beats the decision {}",
+                        candidate.label(),
+                        decision.label()
+                    );
+                }
+            }
         }
     }
 }

@@ -57,36 +57,6 @@ impl StageMetrics {
         self.bits_in += other.bits_in;
         self.bits_out += other.bits_out;
     }
-
-    /// Average host milliseconds per logical item; `None` until at least one
-    /// item has been recorded. This is the quantity online cost-model
-    /// calibration fits against backend predictions.
-    pub fn host_ms_per_item(&self) -> Option<f64> {
-        if self.items == 0 {
-            None
-        } else {
-            Some(self.host_time.as_secs_f64() * 1e3 / self.items as f64)
-        }
-    }
-
-    /// Modeled throughput in input bits per second.
-    pub fn throughput_bps(&self) -> f64 {
-        let secs = self.modeled_time.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.bits_in as f64 / secs
-        }
-    }
-
-    /// Average modeled latency per item.
-    pub fn avg_latency(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.modeled_time / self.count as u32
-        }
-    }
 }
 
 /// A throughput report over a set of named stages plus an overall makespan.
@@ -124,115 +94,11 @@ impl ThroughputReport {
             .or_default()
             .merge(&metrics);
     }
-
-    /// End-to-end throughput in input bits per second of makespan.
-    pub fn end_to_end_bps(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.input_bits as f64 / secs
-        }
-    }
-
-    /// End-to-end throughput in output bits per second of makespan.
-    pub fn output_bps(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.output_bits as f64 / secs
-        }
-    }
-
-    /// Renders the report as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24} {:>10} {:>14} {:>14}\n",
-            "stage", "items", "busy (ms)", "Mbit/s"
-        ));
-        for (name, m) in &self.stages {
-            out.push_str(&format!(
-                "{:<24} {:>10} {:>14.2} {:>14.2}\n",
-                name,
-                m.count,
-                m.modeled_time.as_secs_f64() * 1e3,
-                m.throughput_bps() / 1e6,
-            ));
-        }
-        out.push_str(&format!(
-            "end-to-end: {:.2} ms makespan, {:.2} Mbit/s\n",
-            self.makespan.as_secs_f64() * 1e3,
-            self.end_to_end_bps() / 1e6
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metrics_accumulate_and_compute_rates() {
-        let mut m = StageMetrics::default();
-        m.record(
-            Duration::from_millis(10),
-            Duration::from_millis(12),
-            1_000_000,
-            500_000,
-        );
-        m.record(
-            Duration::from_millis(10),
-            Duration::from_millis(8),
-            1_000_000,
-            500_000,
-        );
-        assert_eq!(m.count, 2);
-        assert_eq!(m.bits_in, 2_000_000);
-        assert!((m.throughput_bps() - 1e8).abs() / 1e8 < 1e-9);
-        assert_eq!(m.avg_latency(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn empty_metrics_have_zero_rates() {
-        let m = StageMetrics::default();
-        assert_eq!(m.throughput_bps(), 0.0);
-        assert_eq!(m.avg_latency(), Duration::ZERO);
-    }
-
-    #[test]
-    fn report_computes_rates_and_renders_every_stage() {
-        let mut report = ThroughputReport {
-            makespan: Duration::from_secs(1),
-            items: 10,
-            input_bits: 1_000_000,
-            output_bits: 400_000,
-            ..Default::default()
-        };
-        let mut fast = StageMetrics::default();
-        fast.record(
-            Duration::from_millis(100),
-            Duration::from_millis(100),
-            1_000_000,
-            900_000,
-        );
-        let mut slow = StageMetrics::default();
-        slow.record(
-            Duration::from_millis(800),
-            Duration::from_millis(800),
-            900_000,
-            400_000,
-        );
-        report.record_stage("sifting", fast);
-        report.record_stage("reconciliation", slow);
-        assert!((report.end_to_end_bps() - 1e6).abs() < 1e-3);
-        assert!((report.output_bps() - 4e5).abs() < 1e-3);
-        let table = report.to_table();
-        assert!(table.contains("sifting") && table.contains("reconciliation"));
-        assert!(table.contains("end-to-end"));
-    }
 
     #[test]
     fn merge_combines_shard_reports() {
@@ -281,7 +147,6 @@ mod tests {
     #[test]
     fn batch_records_count_items_separately() {
         let mut m = StageMetrics::default();
-        assert_eq!(m.host_ms_per_item(), None);
         m.record_batch(
             Duration::from_millis(6),
             Duration::from_millis(6),
@@ -291,7 +156,6 @@ mod tests {
         );
         assert_eq!(m.count, 1);
         assert_eq!(m.items, 3);
-        assert!((m.host_ms_per_item().unwrap() - 2.0).abs() < 1e-9);
         m.record(Duration::from_millis(2), Duration::from_millis(2), 100, 50);
         assert_eq!(m.count, 2);
         assert_eq!(m.items, 4);

@@ -67,13 +67,6 @@ pub enum QkdError {
         /// Configured abort threshold.
         threshold: f64,
     },
-    /// A heterogeneous device rejected or failed a kernel launch.
-    DeviceError {
-        /// Device that reported the failure.
-        device: String,
-        /// Description of the failure.
-        reason: String,
-    },
     /// A pipeline stage terminated unexpectedly (channel closed, worker panic).
     PipelineStalled {
         /// Stage that stalled.
@@ -164,9 +157,6 @@ impl fmt::Display for QkdError {
             QkdError::QberAboveThreshold { qber, threshold } => {
                 write!(f, "estimated QBER {qber:.4} exceeds abort threshold {threshold:.4}")
             }
-            QkdError::DeviceError { device, reason } => {
-                write!(f, "device `{device}` failed: {reason}")
-            }
             QkdError::PipelineStalled { stage } => write!(f, "pipeline stage `{stage}` stalled"),
             QkdError::ChannelError { reason } => write!(f, "classical channel error: {reason}"),
             QkdError::KeyStoreShortfall { link, requested, available } => write!(
@@ -200,14 +190,6 @@ impl QkdError {
     pub fn invalid_parameter(name: &'static str, reason: impl Into<String>) -> Self {
         QkdError::InvalidParameter {
             name,
-            reason: reason.into(),
-        }
-    }
-
-    /// Convenience constructor for [`QkdError::DeviceError`].
-    pub fn device(device: impl Into<String>, reason: impl Into<String>) -> Self {
-        QkdError::DeviceError {
-            device: device.into(),
             reason: reason.into(),
         }
     }
