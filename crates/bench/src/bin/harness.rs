@@ -1,6 +1,5 @@
 //! Evaluation harness: regenerates every table and figure of the
-//! reconstructed evaluation and hosts the machine-readable smoke benchmarks
-//! CI archives.
+//! reconstructed evaluation and hosts the kernel smoke benchmark CI gates on.
 //!
 //! Usage:
 //!
@@ -8,33 +7,19 @@
 //! cargo run --release -p qkd-bench --bin harness -- all
 //! cargo run --release -p qkd-bench --bin harness -- table1 fig5
 //! cargo run --release -p qkd-bench --bin harness -- --smoke
-//! cargo run --release -p qkd-bench --bin harness -- --smoke --fleet
-//! cargo run --release -p qkd-bench --bin harness -- --smoke --api
-//! cargo run --release -p qkd-bench --bin harness -- --smoke --journal
-//! cargo run --release -p qkd-bench --bin harness -- --smoke --obs-overhead
 //! ```
 
 use qkd_bench::experiments;
 
-const USAGE: &str = "usage: harness [FLAGS] [EXPERIMENTS...]
+const USAGE: &str = "usage: harness [--smoke] [EXPERIMENTS...]
 
-Flags (each prints one JSON document to stdout):
-  --smoke        quick kernel smoke benchmark; with PCLMULQDQ present it
-                 asserts floors on its two Toeplitz rows; also reports one
-                 engine batch at width 1 and width nproc (qkd-bench-smoke/v1)
-  --fleet        multi-link fleet over a shared pool: FIFO-vs-WFQ policy
-                 cells, host vs placed-modeled stage time and a
-                 links x workers grid              (qkd-bench-fleet/v3)
-  --api          ETSI 014 delivery: keep-alive vs per-request connection
-                 sweep, 64-4096 concurrent SAEs   (qkd-bench-api/v2)
-  --journal      journaled vs in-memory store: deposit/redeem
-                 throughput and recovery check    (qkd-bench-journal/v1)
-  --obs-overhead telemetry on/off decode-throughput gate  (qkd-bench-obs/v1)
+Flags:
+  --smoke        kernel smoke benchmark, one JSON document on stdout
+                 (qkd-bench-smoke/v1): ldpc_decode_16k must run on the
+                 circulant-lane kernel (and, with AVX2, above its floor);
+                 with PCLMULQDQ present, toeplitz_clmul_64k and
+                 verify_tag_16k must run above theirs
   --help, -h     print this help and exit
-
-`--fleet`, `--api`, `--journal` and `--obs-overhead` run their
-benchmark whether or not `--smoke` is present; `--smoke` alone runs the kernel
-smoke benchmark.
 
 Experiments (aligned text tables):
   all            every table and figure below, in order
@@ -69,27 +54,8 @@ fn main() {
     // Reject anything unrecognised before running a single experiment, so a
     // typo cannot silently produce a partial (or empty) run.
     const KNOWN: &[&str] = &[
-        "--smoke",
-        "smoke",
-        "--fleet",
-        "fleet",
-        "--api",
-        "api",
-        "--journal",
-        "journal",
-        "--obs-overhead",
-        "obs-overhead",
-        "all",
-        "table1",
-        "table2",
-        "table3",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
+        "--smoke", "smoke", "all", "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
+        "fig5", "fig6", "fig7",
     ];
     for arg in &args {
         if !KNOWN.contains(&arg.as_str()) {
@@ -98,27 +64,8 @@ fn main() {
         }
     }
 
-    // Both `--smoke` and the bare `smoke` spelling are accepted, as before.
-    let has = |name: &str| args.iter().any(|a| a.trim_start_matches("--") == name);
-    let smoke = has("smoke");
-    let fleet = has("fleet");
-    let api = has("api");
-    let journal = has("journal");
-    let obs_overhead = has("obs-overhead");
-
-    if fleet {
-        experiments::smoke_fleet();
-    }
-    if api {
-        experiments::smoke_api();
-    }
-    if journal {
-        experiments::smoke_journal();
-    }
-    if obs_overhead {
-        experiments::smoke_obs_overhead();
-    }
-    if smoke && !fleet && !api && !journal && !obs_overhead {
+    // Both `--smoke` and the bare `smoke` spelling are accepted.
+    if args.iter().any(|a| a == "--smoke" || a == "smoke") {
         experiments::smoke();
     }
 
@@ -135,7 +82,7 @@ fn main() {
             "fig5" => experiments::fig5(),
             "fig6" => experiments::fig6(),
             "fig7" => experiments::fig7(),
-            // Flags were handled above.
+            // `--smoke` was handled above.
             _ => {}
         }
     }

@@ -7,7 +7,6 @@ use qkd_privacy::{FiniteKeyParams, ToeplitzStrategy};
 use qkd_sifting::SamplingConfig;
 use qkd_types::{QkdError, Result};
 
-use crate::channel::ChannelModel;
 use crate::verification::VerificationConfig;
 
 /// Which information-reconciliation protocol a session uses.
@@ -38,8 +37,6 @@ pub struct PostProcessingConfig {
     pub finite_key: FiniteKeyParams,
     /// Toeplitz evaluation strategy for privacy amplification.
     pub toeplitz_strategy: ToeplitzStrategy,
-    /// Classical channel model.
-    pub channel: ChannelModel,
     /// Bits of pre-shared authentication key available at session start.
     pub auth_pool_bits: usize,
     /// Skip QBER estimation sampling and trust the provided estimate
@@ -59,7 +56,6 @@ impl PostProcessingConfig {
             verification: VerificationConfig::default(),
             finite_key: FiniteKeyParams::default(),
             toeplitz_strategy: ToeplitzStrategy::Clmul,
-            channel: ChannelModel::metro(),
             auth_pool_bits: 1 << 20,
             trust_external_qber: false,
         }
@@ -100,7 +96,6 @@ impl PostProcessingConfig {
         self.ldpc.validate()?;
         self.cascade.validate()?;
         self.finite_key.validate()?;
-        self.channel.validate()?;
         self.verification.validate()?;
         Ok(())
     }

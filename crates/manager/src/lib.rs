@@ -10,8 +10,7 @@
 //! * [`LinkManager`] — owns N concurrent links (each a full
 //!   [`qkd_core::PostProcessor`] fed by its own
 //!   [`qkd_simulator::CorrelatedKeySource`]), drives them over a shared,
-//!   bounded worker pool under a [`SchedPolicy`] (weighted fair queueing by
-//!   default, FIFO round-robin as baseline), accounts each batch's modeled
+//!   bounded worker pool in weighted-fair order, accounts each batch's modeled
 //!   time on the backend the online-calibrated cost models predict cheapest
 //!   ([`qkd_hetero::decide_placement`]) next to the host time the engine
 //!   measured, and applies per-link backlog admission control to bursty
@@ -56,12 +55,11 @@
 
 pub mod manager;
 pub mod report;
-pub mod sched;
+mod sched;
 pub mod spec;
 pub mod store;
 
 pub use manager::LinkManager;
 pub use report::{jain_index, FleetLedger, FleetReport, LinkLedger, LinkReport};
-pub use sched::SchedPolicy;
 pub use spec::{Admission, AdmissionPolicy, FleetConfig, LinkSpec};
 pub use store::{DeliveredKey, KeyId, KeyStatus, KeyStore, RecoveredBudget};

@@ -6,10 +6,8 @@
 //! in *epochs* ([`LinkManager::submit_epoch`]); each accepted epoch becomes
 //! one batch on the link's queue, subject to a per-link backlog cap
 //! (admission control). [`LinkManager::run`] drains the queued batches over a
-//! shared pool of worker threads under a [`crate::sched::SchedPolicy`]:
-//! weighted fair queueing by default (service shares track link weights
-//! under backlog, starvation-free by construction), or plain FIFO
-//! round-robin as the baseline.
+//! shared pool of worker threads in weighted-fair order: service shares
+//! track link weights under backlog, starvation-free by construction.
 //!
 //! On top of queueing the manager keeps **cost-model-driven placement** as
 //! accounting over measured time: every distilled block's host-measured
@@ -31,8 +29,8 @@
 //! per-block RNG streams derived from the link seed — so a link distilled
 //! inside a fleet produces *bit-identical* keys to the same spec replayed on
 //! a solo [`PostProcessor`] ([`crate::LinkSpec::solo_processor`]), no matter
-//! how many workers or neighbour links the fleet has or which scheduling
-//! policy ordered the batches.
+//! how many workers or neighbour links the fleet has or in which order the
+//! scheduler served them.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -509,10 +507,9 @@ impl LinkManager {
     /// Drains queued batches over the shared worker pool and returns the
     /// cumulative fleet report.
     ///
-    /// Dispatch order follows [`FleetConfig::policy`]: weighted fair
-    /// queueing serves the ready link with the lowest weighted virtual time
-    /// (service shares track link weights under backlog), FIFO round-robin
-    /// rotates links evenly. Under a [`FleetConfig::batch_budget`] the drain
+    /// Dispatch is weighted fair queueing: the ready link with the lowest
+    /// weighted virtual time is served next, so service shares track link
+    /// weights under backlog. Under a [`FleetConfig::batch_budget`] the drain
     /// stops after that many dispatches, leaving the rest queued for the
     /// next run. A link whose batch fails fatally (e.g. authentication key
     /// exhaustion) is stopped: its remaining backlog is abandoned and it
@@ -524,7 +521,7 @@ impl LinkManager {
     /// Per-link failures are recorded in the report, not returned.
     pub fn run(&mut self) -> Result<FleetReport> {
         let weights = self.links.iter().map(|r| r.spec.weight).collect();
-        let queue = ReadyQueue::new(self.config.policy, self.config.batch_budget, weights);
+        let queue = ReadyQueue::new(self.config.batch_budget, weights);
         for (link, runtime) in self.links.iter().enumerate() {
             let cell = runtime.cell.lock();
             if cell.failed.is_none() {
@@ -689,7 +686,6 @@ impl LinkManager {
             throughput,
             wall_time: self.last_wall,
             workers: self.config.workers,
-            policy: self.config.policy,
         }
     }
 
@@ -1017,56 +1013,42 @@ mod tests {
     }
 
     #[test]
-    fn wfq_gives_weighted_shares_and_fifo_splits_evenly_under_budget() {
+    fn wfq_gives_weighted_shares_under_budget() {
         // Two identical links contending for one worker under a 6-dispatch
-        // budget. FIFO round-robin is deterministic: 3 batches each. WFQ
-        // with 4:1 weights serves the premium link ~5 of 6 times.
-        for (policy, heavy_min, heavy_max) in [
-            (crate::sched::SchedPolicy::Fifo, 3, 3),
-            (crate::sched::SchedPolicy::Wfq, 4, 6),
-        ] {
-            let mut mgr = LinkManager::new(
-                FleetConfig::default()
-                    .with_workers(1)
-                    .with_max_backlog(16)
-                    .with_policy(policy)
-                    .with_batch_budget(Some(6)),
-            )
-            .unwrap();
-            let heavy = mgr
-                .add_link(LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 71).with_weight(4.0))
-                .unwrap();
-            let light = mgr
-                .add_link(LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 72))
-                .unwrap();
-            for _ in 0..8 {
-                assert!(mgr.submit_epoch(heavy, 1).unwrap().accepted());
-                assert!(mgr.submit_epoch(light, 1).unwrap().accepted());
-            }
-            let report = mgr.run().unwrap();
-            let served_heavy = report.links[heavy].batches_processed;
-            let served_light = report.links[light].batches_processed;
-            assert_eq!(served_heavy + served_light, 6, "budget caps the drain");
-            assert!(
-                (heavy_min..=heavy_max).contains(&(served_heavy as usize)),
-                "{policy:?}: heavy link served {served_heavy}, light {served_light}"
-            );
-            assert_eq!(report.policy, policy);
-            // The budget left backlog behind; a second (unbudgeted config is
-            // unchanged, so still budgeted) drain keeps making progress.
-            assert!(mgr.backlog(heavy).unwrap() + mgr.backlog(light).unwrap() > 0);
-        }
-    }
-
-    #[test]
-    fn cost_model_placement_offloads_after_warmup() {
+        // budget: with 4:1 weights the premium link is served ~5 of 6 times.
         let mut mgr = LinkManager::new(
             FleetConfig::default()
                 .with_workers(1)
                 .with_max_backlog(16)
-                .with_policy(crate::sched::SchedPolicy::Wfq),
+                .with_batch_budget(Some(6)),
         )
         .unwrap();
+        let heavy = mgr
+            .add_link(LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 71).with_weight(4.0))
+            .unwrap();
+        let light = mgr
+            .add_link(LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 72))
+            .unwrap();
+        for _ in 0..8 {
+            assert!(mgr.submit_epoch(heavy, 1).unwrap().accepted());
+            assert!(mgr.submit_epoch(light, 1).unwrap().accepted());
+        }
+        let report = mgr.run().unwrap();
+        let served_heavy = report.links[heavy].batches_processed;
+        let served_light = report.links[light].batches_processed;
+        assert_eq!(served_heavy + served_light, 6, "budget caps the drain");
+        assert!(
+            (4..=6).contains(&served_heavy),
+            "heavy link served {served_heavy}, light {served_light}"
+        );
+        // The budget left backlog behind for the next drain.
+        assert!(mgr.backlog(heavy).unwrap() + mgr.backlog(light).unwrap() > 0);
+    }
+
+    #[test]
+    fn cost_model_placement_offloads_after_warmup() {
+        let mut mgr =
+            LinkManager::new(FleetConfig::default().with_workers(1).with_max_backlog(16)).unwrap();
         let spec = LinkSpec::from_preset(WorkloadPreset::Metro, 4096, 81);
         let link = mgr.add_link(spec.clone()).unwrap();
         let warm = 2 + CostCalibrator::MIN_SAMPLES as usize;
@@ -1176,28 +1158,24 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::sched::SchedPolicy;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(5))]
             /// The fleet invariant quantified over the whole scheduling
-            /// space: for any queueing policy and dispatch budget, every
-            /// link's keys are bit-identical to its solo replay and the
-            /// store ledger reconciles.
+            /// space: for any mix of link weights, epoch plan and dispatch
+            /// budget, every link's keys are bit-identical to its solo
+            /// replay and the store ledger reconciles.
             #[test]
             fn every_policy_mix_is_solo_equivalent_and_reconciles(
                 seed in 0u64..1_000_000,
-                policy_idx in 0usize..2,
                 budget_idx in 0usize..3,
             ) {
-                let policy = [SchedPolicy::Fifo, SchedPolicy::Wfq][policy_idx];
                 let budget = [None, Some(4), Some(7)][budget_idx];
                 let mut mgr = LinkManager::new(
                     FleetConfig::default()
                         .with_workers(2)
                         .with_max_backlog(16)
-                        .with_policy(policy)
                         .with_batch_budget(budget),
                 )
                 .unwrap();
@@ -1241,7 +1219,7 @@ mod tests {
                         let got = mgr.store().get_key(link, expected.len()).unwrap();
                         assert_eq!(
                             got.bits, expected,
-                            "{policy:?}/budget={budget:?} diverged from solo"
+                            "budget={budget:?} diverged from solo"
                         );
                     }
                     assert_eq!(

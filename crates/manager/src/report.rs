@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 use qkd_core::SessionSummary;
 use qkd_hetero::ThroughputReport;
 
-use crate::sched::SchedPolicy;
-
 /// Jain's fairness index over a set of per-link allocations:
 /// `(Σx)² / (n·Σx²)`. 1.0 means perfectly even service; `1/n` means one link
 /// got everything. Empty or all-zero inputs report 1.0 (nothing was unfairly
@@ -112,8 +110,6 @@ pub struct FleetReport {
     pub wall_time: Duration,
     /// Worker threads the pool ran with.
     pub workers: usize,
-    /// Queueing policy the drain ran under.
-    pub policy: SchedPolicy,
 }
 
 impl FleetReport {
@@ -154,11 +150,11 @@ impl FleetReport {
     /// Jain fairness of *weighted* service: busy time normalised by each
     /// link's scheduling weight, over the links that got any service. 1.0
     /// means every link received pool time exactly proportional to its
-    /// weight — what WFQ guarantees under sustained backlog and what FIFO
-    /// round-robin violates as soon as weights differ. Only meaningful when
-    /// the drain ran under contention (e.g. a [`crate::FleetConfig`]
-    /// `batch_budget` that stopped before backlogs emptied); a full drain
-    /// eventually serves everything regardless of order.
+    /// weight — what weighted fair queueing guarantees under sustained
+    /// backlog. Only meaningful when the drain ran under contention (e.g. a
+    /// [`crate::FleetConfig`] `batch_budget` that stopped before backlogs
+    /// emptied); a full drain eventually serves everything regardless of
+    /// order.
     pub fn fairness_weighted(&self) -> f64 {
         let shares: Vec<f64> = self
             .links
@@ -227,10 +223,9 @@ impl FleetReport {
             ));
         }
         out.push_str(&format!(
-            "fleet: {} links, {} workers, {} policy, {} secret bits in {:.2} ms, measured {:.1} kbit/s (wall clock), modeled {:.1} kbit/s (placed stage time / workers), fairness service {:.3} / blocks {:.3} / weighted {:.3}\n",
+            "fleet: {} links, {} workers, {} secret bits in {:.2} ms, measured {:.1} kbit/s (wall clock), modeled {:.1} kbit/s (placed stage time / workers), fairness service {:.3} / blocks {:.3} / weighted {:.3}\n",
             self.links.len(),
             self.workers,
-            self.policy.label(),
             self.summary.secret_bits_out,
             self.wall_time.as_secs_f64() * 1e3,
             self.aggregate_output_bps() / 1e3,

@@ -1,15 +1,12 @@
-//! Fleet scheduling: the ready queue (FIFO round-robin or weighted fair
-//! queueing).
+//! Fleet scheduling: the weighted-fair ready queue.
 //!
-//! **Queueing.** [`ReadyQueue`] replaces the old flat FIFO drain. Under
-//! [`SchedPolicy::Wfq`] every link carries a *virtual time*: measured worker
+//! **Queueing.** Every link carries a *virtual time*: measured worker
 //! seconds divided by the link's scheduling weight, accumulated as batches
 //! complete. Workers always serve the ready link with the lowest virtual
 //! time, so while links are backlogged each receives pool service
 //! proportional to its weight — a premium (high-weight) link buys a larger
 //! share, but a weight-ε link still has the lowest virtual time eventually
-//! and can never starve. FIFO round-robin (the previous behaviour) remains
-//! available as the baseline policy.
+//! and can never starve.
 //!
 //! Where a link's kernels would be cheapest is not decided here: the worker
 //! asks [`qkd_hetero::decide_placement`] per batch and the answer only
@@ -23,49 +20,21 @@
 //! times start even at every drain, which is exactly the long-run fair
 //! share since weights do not change mid-run.
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
-/// How the ready queue orders competing links.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SchedPolicy {
-    /// First-in first-out round-robin: a link rejoins the tail after every
-    /// batch. Equal shares regardless of link weight.
-    Fifo,
-    /// Weighted fair queueing: serve the ready link with the lowest
-    /// weighted-virtual-time; service shares track link weights under
-    /// sustained backlog and no link can starve.
-    #[default]
-    Wfq,
-}
-
-impl SchedPolicy {
-    /// Short label for reports and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedPolicy::Fifo => "fifo",
-            SchedPolicy::Wfq => "wfq",
-        }
-    }
-}
-
-/// The shared ready queue of one drain: links eligible for service, ordered
-/// per [`SchedPolicy`], plus the outstanding-batch count idle workers watch
-/// to know when to exit and an optional dispatch budget.
+/// The shared ready queue of one drain: links eligible for service, plus
+/// the outstanding-batch count idle workers watch to know when to exit and
+/// an optional dispatch budget.
 pub(crate) struct ReadyQueue {
-    policy: SchedPolicy,
     state: Mutex<QueueState>,
     cv: Condvar,
 }
 
 struct QueueState {
-    /// Links eligible for service. FIFO order for [`SchedPolicy::Fifo`];
-    /// membership set scanned for the minimum virtual time under
-    /// [`SchedPolicy::Wfq`] (fleets are small; a linear scan under the lock
-    /// beats a heap's bookkeeping).
-    ready: VecDeque<usize>,
+    /// Links eligible for service, an unordered set scanned for the minimum
+    /// virtual time (fleets are small; a linear scan under the lock beats a
+    /// heap's bookkeeping).
+    ready: Vec<usize>,
     /// Per-link virtual time: accumulated service seconds over weight.
     vtime: Vec<f64>,
     /// Per-link scheduling weight (validated positive by the spec).
@@ -80,12 +49,11 @@ struct QueueState {
 }
 
 impl ReadyQueue {
-    pub(crate) fn new(policy: SchedPolicy, budget: Option<usize>, weights: Vec<f64>) -> Self {
+    pub(crate) fn new(budget: Option<usize>, weights: Vec<f64>) -> Self {
         let links = weights.len();
         Self {
-            policy,
             state: Mutex::new(QueueState {
-                ready: VecDeque::new(),
+                ready: Vec::new(),
                 vtime: vec![0.0; links],
                 weights,
                 active: vec![false; links],
@@ -110,7 +78,7 @@ impl ReadyQueue {
             return;
         }
         let mut st = self.lock_state();
-        st.ready.push_back(link);
+        st.ready.push(link);
         st.outstanding += batches;
         if let Some(flag) = st.active.get_mut(link) {
             *flag = true;
@@ -131,7 +99,7 @@ impl ReadyQueue {
             if st.budget == Some(0) {
                 return None;
             }
-            if let Some(link) = Self::pick(self.policy, &mut st) {
+            if let Some(link) = Self::pick(&mut st) {
                 if let Some(b) = st.budget.as_mut() {
                     *b -= 1;
                     if *b == 0 {
@@ -148,29 +116,23 @@ impl ReadyQueue {
         }
     }
 
-    /// Removes the next link to serve from the ready set, or `None` when no
-    /// link is ready.
-    fn pick(policy: SchedPolicy, st: &mut QueueState) -> Option<usize> {
-        match policy {
-            SchedPolicy::Fifo => st.ready.pop_front(),
-            SchedPolicy::Wfq => {
-                let mut best: Option<(usize, f64, usize)> = None;
-                for (pos, &link) in st.ready.iter().enumerate() {
-                    let v = st.vtime.get(link).copied().unwrap_or(0.0);
-                    let better = match best {
-                        None => true,
-                        // Ties break towards the lower link id, so the order
-                        // is deterministic for equal-weight equal-service
-                        // links.
-                        Some((_, bv, bl)) => v < bv || (v == bv && link < bl),
-                    };
-                    if better {
-                        best = Some((pos, v, link));
-                    }
-                }
-                best.and_then(|(pos, _, _)| st.ready.remove(pos))
+    /// Removes the ready link with the lowest virtual time from the ready
+    /// set, or `None` when no link is ready.
+    fn pick(st: &mut QueueState) -> Option<usize> {
+        let mut best: Option<(usize, f64, usize)> = None;
+        for (pos, &link) in st.ready.iter().enumerate() {
+            let v = st.vtime.get(link).copied().unwrap_or(0.0);
+            let better = match best {
+                None => true,
+                // Ties break towards the lower link id, so the order is
+                // deterministic for equal-weight equal-service links.
+                Some((_, bv, bl)) => v < bv || (v == bv && link < bl),
+            };
+            if better {
+                best = Some((pos, v, link));
             }
         }
+        best.map(|(pos, _, _)| st.ready.swap_remove(pos))
     }
 
     /// Marks `completed` batches done for `link` after `service_secs` of
@@ -185,7 +147,7 @@ impl ReadyQueue {
             }
         }
         if requeue {
-            st.ready.push_back(link);
+            st.ready.push(link);
         }
         if st.outstanding == 0 || st.budget == Some(0) {
             self.cv.notify_all();
@@ -197,8 +159,7 @@ impl ReadyQueue {
     /// Virtual-time lag of the drain so far: the spread between the most- and
     /// least-advanced virtual times over the links that had work. Near zero
     /// means weighted service shares were honoured; a large lag means some
-    /// link fell behind its entitlement (e.g. under FIFO with skewed
-    /// weights).
+    /// link fell behind its entitlement.
     pub(crate) fn vtime_lag(&self) -> f64 {
         let st = self.lock_state();
         let mut lo = f64::INFINITY;
@@ -245,7 +206,7 @@ mod tests {
 
     #[test]
     fn wfq_shares_track_weights() {
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, Some(10), vec![4.0, 1.0]);
+        let queue = ReadyQueue::new(Some(10), vec![4.0, 1.0]);
         let order = drive(&queue, vec![100, 100], |_| 1.0);
         assert_eq!(order.len(), 10);
         let link0 = order.iter().filter(|&&l| l == 0).count();
@@ -257,21 +218,27 @@ mod tests {
     }
 
     #[test]
-    fn fifo_round_robin_ignores_weights() {
-        let queue = ReadyQueue::new(SchedPolicy::Fifo, Some(10), vec![4.0, 1.0]);
-        let order = drive(&queue, vec![100, 100], |_| 1.0);
-        let link0 = order.iter().filter(|&&l| l == 0).count();
-        assert_eq!(link0, 5, "round robin splits evenly, order {order:?}");
-        // The weight-4 link is entitled to 4× the service it got: its
-        // virtual time lags the weight-1 link's by a factor of 4.
-        assert!(queue.vtime_lag() > 1.0);
+    fn weighted_jain_stays_high_under_contention_with_unequal_costs() {
+        // One premium link next to three standard ones, every link's batches
+        // costing something different, all backlogged past the budget.
+        // Round-robin would leave the weighted Jain index at ~0.69 here.
+        let weights = vec![4.0, 1.0, 1.0, 1.0];
+        let cost = [1.0, 2.0, 0.5, 1.5];
+        let queue = ReadyQueue::new(Some(40), weights.clone());
+        let order = drive(&queue, vec![100; 4], |l| cost[l]);
+        assert_eq!(order.len(), 40);
+        let shares: Vec<f64> = (0..4)
+            .map(|l| order.iter().filter(|&&o| o == l).count() as f64 * cost[l] / weights[l])
+            .collect();
+        let jain = crate::report::jain_index(&shares);
+        assert!(jain >= 0.9, "weighted Jain {jain:.4}, shares {shares:?}");
     }
 
     #[test]
     fn wfq_compensates_expensive_batches() {
         // Equal weights but link 0's batches cost 3× as much: it should be
         // served ~3× less often.
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, Some(12), vec![1.0, 1.0]);
+        let queue = ReadyQueue::new(Some(12), vec![1.0, 1.0]);
         let order = drive(&queue, vec![100, 100], |l| if l == 0 { 3.0 } else { 1.0 });
         let link0 = order.iter().filter(|&&l| l == 0).count();
         assert!(link0 <= 4, "expensive link overserved: {order:?}");
@@ -279,7 +246,7 @@ mod tests {
 
     #[test]
     fn budget_stops_the_drain_with_backlog_left() {
-        let queue = ReadyQueue::new(SchedPolicy::Wfq, Some(3), vec![1.0]);
+        let queue = ReadyQueue::new(Some(3), vec![1.0]);
         queue.seed(0, 8);
         let mut served = 0;
         while let Some(link) = queue.next() {
@@ -292,7 +259,7 @@ mod tests {
 
     #[test]
     fn full_drain_without_budget() {
-        let queue = ReadyQueue::new(SchedPolicy::Fifo, None, vec![1.0, 1.0]);
+        let queue = ReadyQueue::new(None, vec![1.0, 1.0]);
         let order = drive(&queue, vec![3, 2], |_| 0.1);
         assert_eq!(order.len(), 5);
         assert_eq!(queue.outstanding(), 0);
@@ -312,8 +279,5 @@ mod tests {
             LinkPlacement::Whole(DeviceKind::SimGpu).label(),
             "whole:sim-gpu"
         );
-        assert_eq!(SchedPolicy::Fifo.label(), "fifo");
-        assert_eq!(SchedPolicy::Wfq.label(), "wfq");
-        assert_eq!(SchedPolicy::default(), SchedPolicy::Wfq);
     }
 }

@@ -6,8 +6,6 @@ use qkd_core::{PostProcessingConfig, PostProcessor};
 use qkd_simulator::{CorrelatedKeySource, FleetLinkSpec, WorkloadPreset};
 use qkd_types::{QkdError, Result};
 
-use crate::sched::SchedPolicy;
-
 /// Everything that defines one managed link: channel quality, block size and
 /// the single seed from which both the link's sifted-bit stream and its
 /// engine randomness derive.
@@ -29,10 +27,9 @@ pub struct LinkSpec {
     pub sample_fraction: f64,
     /// Pre-shared authentication key available to the link's session.
     pub auth_pool_bits: usize,
-    /// Scheduling weight under [`crate::sched::SchedPolicy::Wfq`]: a link
-    /// with weight 2.0 is entitled to twice the pool service of a weight-1.0
-    /// link while both are backlogged. Ignored under FIFO. Must be finite
-    /// and positive.
+    /// Weighted-fair-queueing weight: a link with weight 2.0 is entitled to
+    /// twice the pool service of a weight-1.0 link while both are
+    /// backlogged. Must be finite and positive.
     pub weight: f64,
 }
 
@@ -132,7 +129,7 @@ pub enum AdmissionPolicy {
 
 /// Fleet-level tuning: how many workers share the pool, how deep each link's
 /// batch backlog may grow, what to do with arrivals past the cap, and how
-/// the scheduler orders the work.
+/// many batches one drain may dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Worker threads in the shared pool — the whole fleet's compute budget
@@ -144,14 +141,12 @@ pub struct FleetConfig {
     pub max_backlog: usize,
     /// Backlog-overflow policy.
     pub admission: AdmissionPolicy,
-    /// How the ready queue orders competing links.
-    pub policy: SchedPolicy,
     /// Optional dispatch budget for one [`crate::LinkManager::run`]: the pool
     /// stops after this many batches even if backlogs remain, leaving the
     /// rest queued for the next drain. `None` (the default) drains
     /// everything. A finite budget makes service shares under contention
-    /// observable — with a full drain every policy eventually serves every
-    /// batch — which is what the fleet benchmark's fairness gate measures.
+    /// observable: a full drain eventually serves every batch whatever the
+    /// order.
     pub batch_budget: Option<usize>,
 }
 
@@ -162,7 +157,6 @@ impl Default for FleetConfig {
             workers: (cores / 2).clamp(1, 8),
             max_backlog: 8,
             admission: AdmissionPolicy::Reject,
-            policy: SchedPolicy::Wfq,
             batch_budget: None,
         }
     }
@@ -184,12 +178,6 @@ impl FleetConfig {
     /// Sets the backlog-overflow policy, keeping everything else.
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Sets the queueing policy, keeping everything else.
-    pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -321,13 +309,8 @@ mod tests {
         assert!(spec.with_weight(f64::NAN).validate().is_err());
 
         let config = FleetConfig::default();
-        assert_eq!(config.policy, SchedPolicy::Wfq);
         assert_eq!(config.batch_budget, None);
-        config
-            .with_policy(SchedPolicy::Fifo)
-            .with_batch_budget(Some(16))
-            .validate()
-            .unwrap();
+        config.with_batch_budget(Some(16)).validate().unwrap();
         assert!(config.with_batch_budget(Some(0)).validate().is_err());
     }
 

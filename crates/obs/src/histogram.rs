@@ -52,11 +52,8 @@ impl Histogram {
         }
     }
 
-    /// Records one observation. No-op while telemetry is disabled.
+    /// Records one observation.
     pub fn observe(&self, value: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let idx = bucket_index(self.core.bounds, value);
         if let Some(cell) = self.core.counts.get(idx) {
             cell.fetch_add(1, Ordering::Relaxed);

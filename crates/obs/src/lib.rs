@@ -15,11 +15,8 @@
 //! * renderers for the Prometheus text exposition format and a JSON snapshot
 //!   (see [`expo`]), served by `qkd-api` as `GET /api/v1/metrics`.
 //!
-//! Telemetry is globally on by default and can be switched off with
-//! [`set_enabled`]; a disabled registry still hands out handles, but every
-//! record operation reduces to one relaxed atomic load. The `--obs-overhead`
-//! bench in `qkd-bench` holds the decode hot path to <1% regression with
-//! telemetry enabled.
+//! Telemetry is always on: a record call is the atomic update itself and
+//! nothing more.
 //!
 //! Secret hygiene: key material must never reach a label value or event
 //! message. The only key-derived value allowed here is the 32-bit
@@ -33,7 +30,7 @@ pub mod expo;
 pub mod histogram;
 pub mod registry;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -41,9 +38,6 @@ pub use events::{EventRecord, Severity};
 pub use expo::Snapshot;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, MetricsRegistry};
-
-/// Whether record operations actually record. Global, process-wide.
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Monotonic source for [`next_instance`] suffixes.
 static INSTANCE_IDS: AtomicU64 = AtomicU64::new(0);
@@ -54,21 +48,6 @@ static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
 /// Returns the global metrics registry, creating it on first use.
 pub fn registry() -> &'static MetricsRegistry {
     REGISTRY.get_or_init(MetricsRegistry::new)
-}
-
-/// Turns telemetry recording on or off process-wide.
-///
-/// Handles stay valid either way; while disabled, `inc`/`set`/`observe` and
-/// event recording become no-ops costing a single relaxed atomic load. Reads
-/// (`value()`, snapshots, exposition) are unaffected.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// True when telemetry recording is enabled (the default).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Returns a process-unique instance label like `"s0"`, `"s1"`, …
@@ -82,14 +61,10 @@ pub fn next_instance(prefix: &str) -> String {
     format!("{prefix}{id}")
 }
 
-/// Records an event into the global ring-buffer log.
-///
-/// Prefer the [`event!`] macro, which skips message formatting entirely when
-/// telemetry is disabled.
+/// Records an event into the global ring-buffer log; [`event!`] formats the
+/// message and calls this.
 pub fn record_event(severity: Severity, target: &'static str, message: String) {
-    if enabled() {
-        registry().events().record(severity, target, message);
-    }
+    registry().events().record(severity, target, message);
 }
 
 /// Default histogram bucket bounds for durations, in seconds: powers of two
@@ -117,7 +92,7 @@ const fn log2_buckets<const N: usize>(first: f64) -> [f64; N] {
 /// histogram. Created by [`span!`] or [`SpanGuard::begin`].
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct SpanGuard {
-    hist: Option<Histogram>,
+    hist: Histogram,
     start: Instant,
 }
 
@@ -125,35 +100,19 @@ impl SpanGuard {
     /// Starts a span named `name` with extra `labels`. The elapsed time lands
     /// in the `qkd_span_seconds` histogram family as `{span="<name>", …}`.
     pub fn begin(name: &'static str, labels: &[(&'static str, &str)]) -> SpanGuard {
-        let hist = if enabled() {
-            let mut all: Vec<(&'static str, &str)> = Vec::with_capacity(labels.len() + 1);
-            all.push(("span", name));
-            all.extend_from_slice(labels);
-            Some(registry().histogram_with("qkd_span_seconds", &all, &SECONDS_BUCKETS))
-        } else {
-            None
-        };
+        let mut all: Vec<(&'static str, &str)> = Vec::with_capacity(labels.len() + 1);
+        all.push(("span", name));
+        all.extend_from_slice(labels);
         SpanGuard {
-            hist,
+            hist: registry().histogram_with("qkd_span_seconds", &all, &SECONDS_BUCKETS),
             start: Instant::now(),
         }
-    }
-
-    /// Ends the span now and returns the recorded duration in seconds.
-    pub fn finish(mut self) -> f64 {
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if let Some(hist) = self.hist.take() {
-            hist.observe(elapsed);
-        }
-        elapsed
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(hist) = self.hist.take() {
-            hist.observe(self.start.elapsed().as_secs_f64());
-        }
+        self.hist.observe(self.start.elapsed().as_secs_f64());
     }
 }
 
@@ -180,8 +139,7 @@ macro_rules! span {
 
 /// Appends a formatted event to the global ring-buffer log.
 ///
-/// The severity is a bare [`Severity`] variant name; the message is skipped
-/// (not even formatted) when telemetry is disabled.
+/// The severity is a bare [`Severity`] variant name.
 ///
 /// ```
 /// qkd_obs::event!(Warn, "manager", "link {} quarantined", 7);
@@ -189,9 +147,7 @@ macro_rules! span {
 #[macro_export]
 macro_rules! event {
     ($severity:ident, $target:expr, $($fmt:tt)+) => {
-        if $crate::enabled() {
-            $crate::record_event($crate::Severity::$severity, $target, format!($($fmt)+));
-        }
+        $crate::record_event($crate::Severity::$severity, $target, format!($($fmt)+))
     };
 }
 

@@ -219,18 +219,16 @@ impl Counter {
         }
     }
 
-    /// Adds one. No-op while telemetry is disabled.
+    /// Adds one.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`. No-op while telemetry is disabled.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -259,22 +257,18 @@ impl Gauge {
         }
     }
 
-    /// Sets the gauge. No-op while telemetry is disabled.
+    /// Sets the gauge.
     pub fn set(&self, value: f64) {
-        if crate::enabled() {
-            self.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative). No-op while telemetry is disabled.
+    /// Adds `delta` (may be negative).
     pub fn add(&self, delta: f64) {
-        if crate::enabled() {
-            let _ = self
-                .bits
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                    Some((f64::from_bits(bits) + delta).to_bits())
-                });
-        }
+        let _ = self
+            .bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
     }
 
     /// Current value.

@@ -1,20 +1,9 @@
 //! Integration tests for `qkd-obs`: histogram percentile math pinned against
 //! a sorted-reference implementation (property-based), exact totals under an
-//! 8-thread counter hammer, and the enable/disable switch.
-
-use std::sync::Mutex;
+//! 8-thread counter hammer and under concurrent histogram recording.
 
 use proptest::prelude::*;
-use qkd_obs::{registry, Histogram, MetricsRegistry, SECONDS_BUCKETS};
-
-/// The enable switch is process-global and gates every record operation, so
-/// the toggle test below would silently drop increments from any test running
-/// concurrently in this binary. Every recording test serializes on this lock.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-}
+use qkd_obs::{Histogram, MetricsRegistry, SECONDS_BUCKETS};
 
 /// Exact quantile of a sample set: the value at rank `ceil(q * n)` of the
 /// sorted samples (the same rank definition the histogram estimator uses).
@@ -44,7 +33,6 @@ proptest! {
         samples in collection::vec(1e-6f64..30.0, 1..200),
         q in 0.01f64..=1.0,
     ) {
-        let _guard = serial();
         let hist = Histogram::new(&SECONDS_BUCKETS);
         for s in &samples {
             hist.observe(*s);
@@ -71,7 +59,6 @@ proptest! {
     /// float tolerance in sum.
     #[test]
     fn count_and_sum_track_observations(samples in collection::vec(1e-6f64..30.0, 1..100)) {
-        let _guard = serial();
         let hist = Histogram::new(&SECONDS_BUCKETS);
         for s in &samples {
             hist.observe(*s);
@@ -89,7 +76,6 @@ fn counter_family_is_exact_under_8_thread_contention() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 100_000;
 
-    let _guard = serial();
     let reg = MetricsRegistry::new();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -132,7 +118,6 @@ fn counter_family_is_exact_under_8_thread_contention() {
 /// Concurrent histogram recording must not lose observations either.
 #[test]
 fn histogram_is_exact_under_contention() {
-    let _guard = serial();
     let hist = Histogram::new(&SECONDS_BUCKETS);
     let handles: Vec<_> = (0..8)
         .map(|_| {
@@ -150,22 +135,4 @@ fn histogram_is_exact_under_contention() {
     assert_eq!(hist.count(), 80_000);
     let total: u64 = hist.snapshot().counts.iter().sum();
     assert_eq!(total, 80_000);
-}
-
-/// The global enable switch freezes recording without invalidating handles.
-#[test]
-fn disabled_telemetry_is_a_no_op() {
-    let _guard = serial();
-    let counter = registry().counter("toggle_test_total", &[]);
-    let hist = registry().histogram("toggle_test_seconds", &[]);
-    counter.inc();
-    hist.observe(0.5);
-    qkd_obs::set_enabled(false);
-    counter.inc();
-    hist.observe(0.5);
-    qkd_obs::event!(Info, "test", "dropped while disabled");
-    qkd_obs::set_enabled(true);
-    counter.inc();
-    assert_eq!(counter.value(), 2);
-    assert_eq!(hist.count(), 1);
 }
