@@ -1,5 +1,6 @@
-//! Criterion bench for the decoder: one warm-scratch decode per sweep
-//! `SyndromeDecoder::new` can dispatch to on this host.
+//! Criterion bench for the decoder: one warm-scratch decode of the
+//! circulant-lane sweep (AVX2 where the host has it, portable otherwise) at
+//! the fleet's two block sizes.
 
 use std::time::Duration;
 
@@ -9,29 +10,20 @@ use qkd_ldpc::{DecoderConfig, DecoderScratch, ParityCheckMatrix, SyndromeDecoder
 use qkd_types::rng::derive_rng;
 use qkd_types::BitVec;
 
-/// The sweep a PEG code (every code below 16 384 bits) runs on this host.
-fn csr_sweep() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "quads";
-    }
-    "per-check"
-}
-
 fn bench_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    for (sweep, block) in [("circulant-lane", 16_384usize), (csr_sweep(), 4096)] {
+    for block in [16_384usize, 4096] {
         let matrix = ParityCheckMatrix::for_rate(block, 0.5, 91).unwrap();
         let decoder = SyndromeDecoder::new(&matrix, DecoderConfig::default()).unwrap();
         let mut rng = derive_rng(93, "bench-decoder-kernels");
         let truth = BitVec::random_with_density(&mut rng, block, 0.02);
         let syndrome = matrix.syndrome(&truth);
         let mut scratch = DecoderScratch::new();
-        group.bench_with_input(BenchmarkId::new(sweep, block), &block, |b, _| {
+        group.bench_with_input(BenchmarkId::new("circulant-lane", block), &block, |b, _| {
             b.iter(|| {
                 decoder
                     .decode_with_scratch(&syndrome, 0.02, &[], &mut scratch)

@@ -584,8 +584,8 @@ pub fn smoke() {
 
 /// Floor on `ldpc_decode_16k` (rate 1/2, 2 % errors, two iterations) where
 /// AVX2 is present: about half of the 95–115 Mbit/s the circulant-lane kernel
-/// measures on the 2-core sandbox, and above the 38–40 Mbit/s the gather
-/// quads it replaced on these codes measure there.
+/// measures on a 2-vCPU x86-64 host, and above the 38–40 Mbit/s a
+/// lane-per-check gather kernel reached on the same codes there.
 const LDPC_DECODE_FLOOR_MBPS: f64 = 50.0;
 
 /// Floor on `toeplitz_clmul_64k` (65 536 → 32 768 bits) where `PCLMULQDQ` is

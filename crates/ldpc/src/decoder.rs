@@ -13,43 +13,31 @@
 //!
 //! The decoder is the fleet's hot loop. It reads the Tanner graph straight
 //! from the [`ParityCheckMatrix`] it is bound to (one flat `u32` CSR, shared,
-//! not copied), keeps the message-passing state in flat check-major arrays,
-//! and draws every buffer the iteration loops touch from a caller-owned
+//! not copied), keeps the message-passing state in flat arrays, and draws
+//! every buffer the iteration loops touch from a caller-owned
 //! [`DecoderScratch`] that is reused across iterations, blocks and
 //! rate-ladder attempts — after the first decode at a given size, a decode
 //! performs **zero heap allocations** inside the iteration loops.
 //!
-//! The decoder runs one of three sweeps, chosen once in
-//! [`SyndromeDecoder::new`] from what the matrix is and what the host has:
-//!
-//! * **Circulant-lane** — for matrices whose checks form layers of 64 rows
-//!   lifted from one base row by cyclic shifts (every quasi-cyclic code at
-//!   circulant 64, i.e. every library code of 16 384 bits and up). The lane
-//!   is the position inside the circulant: edge `k` of a layer reads its 64
-//!   posteriors as one rotated run of `posterior[bc_k·64..]`, the layer's
-//!   messages are stored `[k][lane]`, its 64 target-syndrome signs are one
-//!   word, hard decisions are a sign-bit pack and the convergence check is
-//!   the matrix's rotate-XOR syndrome. The 64 checks of a layer are pairwise
-//!   variable-disjoint (base columns are distinct within a layer), so the
-//!   layered schedule's sequential semantics cannot be observed inside a
-//!   layer and running it in lockstep is **bit-identical** to the per-check
-//!   sweep: every lane executes exactly [`SyndromeDecoder`]'s scalar
-//!   per-check operation sequence, in f64, in edge order. An AVX2 form (four
-//!   lanes a register, no gather, no scatter) lives in `simd.rs`; the
-//!   portable form below is what other hosts run.
-//! * **AVX2 quads** — for every other matrix (the PEG codes below 16 384
-//!   bits) on an AVX2 host: four consecutive variable-disjoint equal-degree
-//!   checks, one per lane, gathered through the CSR (`simd.rs`).
-//! * **Scalar** — the per-check loop, for the unstructured matrices on a host
-//!   without AVX2.
-//!
-//! For the unstructured matrices convergence is checked by walking only the
-//! *set* hard-decision bits through the variable-major column map.
+//! Every matrix is quasi-cyclic at circulant 64, its checks layers of 64
+//! rows lifted from one base row by cyclic shifts, so the sweep runs a whole
+//! layer in lockstep, one *lane* per position inside the circulant: edge `k`
+//! of a layer reads its 64 posteriors as one rotated run of
+//! `posterior[bc_k·64..]`, the layer's messages are stored `[k][lane]`, its 64
+//! target-syndrome signs are one word, hard decisions are a sign-bit pack and
+//! the convergence check is the matrix's rotate-XOR syndrome. The 64 checks
+//! of a layer are pairwise variable-disjoint (base columns are distinct
+//! within a layer), so the layered schedule's sequential semantics cannot be
+//! observed inside a layer and the lockstep sweep is **bit-identical** to
+//! processing the checks one at a time, in f64, in edge order. The AVX2 form
+//! (four lanes a register, no gather, no scatter) lives in `simd.rs` and is
+//! chosen once in [`SyndromeDecoder::new`] when the host has AVX2; the
+//! portable form below is what other hosts run.
 //!
 //! Test builds carry `SyndromeDecoder::decode_reference`, an allocating
 //! per-check decoder with its own branchy min-sum update and bit-by-bit
-//! syndrome checks. It is the equivalence oracle: every sweep must return
-//! its outcome bit for bit.
+//! syndrome checks. It is the equivalence oracle: both forms of the sweep
+//! must return its outcome bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -117,8 +105,8 @@ pub struct DecodeOutcome {
 
 /// Branchless select: `if cond { a } else { b }` computed with a bit mask,
 /// keeping the decoder's value-dependent choices out of the branch predictor
-/// (the min-scan's data-dependent branches are the single largest cost of
-/// the scalar hot loop).
+/// (the min-scan's data-dependent branches would otherwise dominate the
+/// portable sweep).
 #[inline(always)]
 fn sel(cond: bool, a: f64, b: f64) -> f64 {
     let mask = (cond as u64).wrapping_neg();
@@ -158,21 +146,19 @@ pub(crate) const MIRROR: usize = 3;
 
 /// Caller-owned arena for every buffer the decode iteration loops touch:
 /// per-edge messages, per-variable posteriors, a staging buffer for the
-/// extrinsic inputs of the checks in flight, and word-packed hard decisions.
+/// extrinsic inputs of the layer in flight, and word-packed hard decisions.
 ///
 /// A scratch starts empty and grows to the largest decoder it has served; it
 /// can be reused freely across decoders, blocks, rate-ladder attempts and
 /// mixed block sizes. Reuse is what makes the decode loops allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct DecoderScratch {
-    /// Per-edge check-to-variable messages (check-major; `[k][lane]` within
-    /// a layer on the circulant-lane path).
+    /// Per-edge check-to-variable messages, `[k][lane]` within a layer.
     c2v: Vec<f64>,
-    /// Per-variable posterior LLRs, seeded with the channel priors (blocks
-    /// of [`BLOCK_STRIDE`] on the circulant-lane path).
+    /// Per-variable posterior LLRs, seeded with the channel priors, in
+    /// blocks of [`BLOCK_STRIDE`].
     posterior: Vec<f64>,
-    /// Extrinsic inputs of the checks in flight: one check's on the scalar
-    /// path, a whole layer's on the circulant-lane path.
+    /// Extrinsic inputs of the layer in flight.
     inputs: Vec<f64>,
     /// Word-packed hard decisions.
     hard: Vec<u64>,
@@ -191,11 +177,8 @@ impl DecoderScratch {
     fn ensure(&mut self, decoder: &SyndromeDecoder) {
         let edges = decoder.matrix.num_edges();
         let n = decoder.matrix.num_vars();
-        let (posterior, inputs) = if decoder.sweep.is_circulant() {
-            (n / LANES * BLOCK_STRIDE, decoder.max_check_degree * LANES)
-        } else {
-            (n, decoder.max_check_degree)
-        };
+        let posterior = n / LANES * BLOCK_STRIDE;
+        let inputs = decoder.max_check_degree * LANES;
         if self.c2v.len() < edges {
             self.c2v.resize(edges, 0.0);
         }
@@ -205,11 +188,11 @@ impl DecoderScratch {
         if self.inputs.len() < inputs {
             self.inputs.resize(inputs, 0.0);
         }
-        let words = n.div_ceil(64);
+        let words = n / LANES;
         if self.hard.len() < words {
             self.hard.resize(words, 0);
         }
-        let syn_words = decoder.matrix.num_checks().div_ceil(64);
+        let syn_words = decoder.matrix.num_checks() / LANES;
         if self.syn.len() < syn_words {
             self.syn.resize(syn_words, 0);
         }
@@ -228,55 +211,32 @@ impl DecoderScratch {
     }
 }
 
-/// The kernel behind the layered sweep, fixed at construction from the
-/// matrix's structure and the host's features (see the module docs).
-#[derive(Debug, Clone)]
-enum Sweep {
-    /// Per-check scalar loop over the CSR.
-    Scalar,
-    /// AVX2 lane-per-check quads interleaved with scalar singles: entries
-    /// are `c | simd::QUAD` or a bare check index.
-    #[cfg(target_arch = "x86_64")]
-    Quads(Vec<u32>),
-    /// Circulant-lane lockstep over whole layers; `avx2` selects the vector
-    /// form over the portable one.
-    Circulant { avx2: bool },
-}
-
-impl Sweep {
-    fn is_circulant(&self) -> bool {
-        matches!(self, Sweep::Circulant { .. })
-    }
-
-    /// Value of the `kernel` label on `qkd_ldpc_kernel_dispatch_total`.
-    fn label(&self) -> &'static str {
-        match self {
-            Sweep::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            Sweep::Quads(_) => "avx2",
-            Sweep::Circulant { avx2: false } => "qc-scalar",
-            Sweep::Circulant { avx2: true } => "qc-avx2",
-        }
+/// Value of the `kernel` label on `qkd_ldpc_kernel_dispatch_total`.
+fn kernel_label(avx2: bool) -> &'static str {
+    if avx2 {
+        "qc-avx2"
+    } else {
+        "qc-scalar"
     }
 }
 
 /// A belief-propagation syndrome decoder bound to one parity-check matrix.
 ///
-/// The decoder shares the matrix's flat Tanner graph (check-major edge list
-/// plus the variable-major map), so both orientations of the message-passing
-/// sweep run over contiguous memory without a second copy. The decoder itself
-/// is immutable and shareable; all mutable decode state lives in a
-/// [`DecoderScratch`].
+/// The decoder shares the matrix's flat check-major Tanner graph instead of
+/// copying it. The decoder itself is immutable and shareable; all mutable
+/// decode state lives in a [`DecoderScratch`].
 #[derive(Debug, Clone)]
 pub struct SyndromeDecoder {
     config: DecoderConfig,
     matrix: ParityCheckMatrix,
-    sweep: Sweep,
+    /// Whether the sweep runs the AVX2 form (`simd.rs`) or the portable one,
+    /// fixed at construction from the host's features.
+    avx2: bool,
     max_check_degree: usize,
     /// Iterations-to-converge histogram (`qkd_ldpc_decode_iterations`).
     obs_iterations: qkd_obs::Histogram,
     /// Decode calls by dispatched kernel (`qkd_ldpc_kernel_dispatch_total`,
-    /// `kernel` = `qc-avx2` | `qc-scalar` | `avx2` | `scalar`).
+    /// `kernel` = `qc-avx2` | `qc-scalar`).
     obs_kernel: qkd_obs::Counter,
 }
 
@@ -295,29 +255,13 @@ impl SyndromeDecoder {
             .max()
             .unwrap_or(0);
 
-        // The lockstep forms assume every clamped input is finite (both
+        // The lockstep sweep assumes every clamped input is finite (both
         // minima of a degree >= 2 check then are). `validate` admits only a
-        // finite clamp, so every configuration may take them.
+        // finite clamp, so every configuration may take it.
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
         let avx2 = false;
-        let sweep = if matrix.is_circulant_layered() {
-            Sweep::Circulant { avx2 }
-        } else if avx2 {
-            #[cfg(target_arch = "x86_64")]
-            let quads = Sweep::Quads(crate::simd::build_schedule(
-                matrix.num_checks(),
-                matrix.check_offsets(),
-                matrix.edge_var(),
-                &mut vec![0u32; matrix.num_vars()],
-            ));
-            #[cfg(not(target_arch = "x86_64"))]
-            let quads = Sweep::Scalar;
-            quads
-        } else {
-            Sweep::Scalar
-        };
 
         // The kernel dispatch is fixed at construction, so the counter label
         // is too: one series per kernel tells operators whether the fleet is
@@ -326,6 +270,7 @@ impl SyndromeDecoder {
         Ok(Self {
             config,
             matrix: matrix.clone(),
+            avx2,
             max_check_degree,
             obs_iterations: obs.histogram_with(
                 "qkd_ldpc_decode_iterations",
@@ -334,10 +279,15 @@ impl SyndromeDecoder {
             ),
             obs_kernel: obs.counter(
                 "qkd_ldpc_kernel_dispatch_total",
-                &[("kernel", sweep.label())],
+                &[("kernel", kernel_label(avx2))],
             ),
-            sweep,
         })
+    }
+
+    /// The kernel the sweep was dispatched to.
+    #[cfg(test)]
+    pub(crate) fn kernel(&self) -> &'static str {
+        kernel_label(self.avx2)
     }
 
     /// The decoder configuration.
@@ -445,44 +395,19 @@ impl SyndromeDecoder {
             .iter()
             .filter(|&&(v, _)| v < n)
             .map(|&(v, llr)| (v, llr.clamp(-clamp, clamp)));
-        let outcome = if self.sweep.is_circulant() {
-            let posterior = &mut scratch.posterior[..n / LANES * BLOCK_STRIDE];
-            posterior.fill(prior);
-            for (v, llr) in overrides {
-                let at = v / LANES * BLOCK_STRIDE + v % LANES;
-                posterior[at] = llr;
-                if v % LANES < MIRROR {
-                    posterior[at + LANES] = llr;
-                }
+        let posterior = &mut scratch.posterior[..n / LANES * BLOCK_STRIDE];
+        posterior.fill(prior);
+        for (v, llr) in overrides {
+            let at = v / LANES * BLOCK_STRIDE + v % LANES;
+            posterior[at] = llr;
+            if v % LANES < MIRROR {
+                posterior[at + LANES] = llr;
             }
-            self.decode_layered_circulant(target_syndrome, scratch)
-        } else {
-            let posterior = &mut scratch.posterior[..n];
-            posterior.fill(prior);
-            for (v, llr) in overrides {
-                posterior[v] = llr;
-            }
-            self.decode_layered_scratch(target_syndrome, scratch)
-        };
+        }
+        let outcome = self.decode_layered(target_syndrome, scratch);
         self.obs_kernel.inc();
         self.obs_iterations.observe(outcome.iterations as f64);
         Ok(outcome)
-    }
-
-    #[inline]
-    fn var_range(&self, v: usize) -> (usize, usize) {
-        let offsets = self.matrix.var_offsets();
-        (offsets[v] as usize, offsets[v + 1] as usize)
-    }
-
-    /// Sign of the target syndrome bit `c`, read from the packed words.
-    #[inline]
-    fn target_sign(target_words: &[u64], c: usize) -> f64 {
-        if (target_words[c >> 6] >> (c & 63)) & 1 == 1 {
-            -1.0
-        } else {
-            1.0
-        }
     }
 
     /// Copies the packed hard decisions into an owned error pattern.
@@ -492,165 +417,9 @@ impl SyndromeDecoder {
         pattern
     }
 
-    /// Min-sum check sweep for the layered schedule over the CSR: AVX2 quads
-    /// where the schedule found them, the scalar per-check form elsewhere.
-    fn min_sum_layered_sweep(
-        &self,
-        clamp: f64,
-        c2v: &mut [f64],
-        posterior: &mut [f64],
-        inputs: &mut [f64],
-        target_words: &[u64],
-    ) {
-        // Bound once: behind the matrix's `Arc` the compiler would reload
-        // the slice headers for every check.
-        let csr = (self.check_offsets(), self.edge_var());
-        #[cfg(target_arch = "x86_64")]
-        if let Sweep::Quads(schedule) = &self.sweep {
-            for &entry in schedule {
-                if entry & crate::simd::QUAD != 0 {
-                    let c = (entry & !crate::simd::QUAD) as usize;
-                    // SAFETY: the schedule was built for this exact graph
-                    // (quads are in-bounds, equal-degree, variable-disjoint)
-                    // and only when AVX2 was detected at construction.
-                    unsafe {
-                        crate::simd::min_sum_layered_quad(
-                            c,
-                            (csr.0[c + 1] - csr.0[c]) as usize,
-                            csr.0,
-                            csr.1,
-                            target_words,
-                            SCALE,
-                            clamp,
-                            c2v,
-                            posterior,
-                        );
-                    }
-                } else {
-                    let c = entry as usize;
-                    Self::min_sum_layered_check(
-                        csr,
-                        c,
-                        clamp,
-                        c2v,
-                        posterior,
-                        inputs,
-                        target_words,
-                    );
-                }
-            }
-            return;
-        }
-        for c in 0..self.m() {
-            Self::min_sum_layered_check(csr, c, clamp, c2v, posterior, inputs, target_words);
-        }
-    }
-
-    /// Scalar min-sum layered update of one check: the extrinsic inputs and
-    /// the two-minimum/sign scan in one pass, the outgoing messages and the
-    /// posterior updates in a second. Value-dependent choices are branchless
-    /// mask selects (the min-scan's data-dependent branches would otherwise
-    /// dominate the sweep); arithmetic is bit-identical to the reference.
-    /// This operation sequence is what every lane of the vector sweeps
-    /// reproduces.
-    #[inline]
-    fn min_sum_layered_check(
-        (check_offsets, edge_var): (&[u32], &[u32]),
-        c: usize,
-        clamp: f64,
-        c2v: &mut [f64],
-        posterior: &mut [f64],
-        inputs: &mut [f64],
-        target_words: &[u64],
-    ) {
-        {
-            let (s, e) = (check_offsets[c] as usize, check_offsets[c + 1] as usize);
-            let deg = e - s;
-            let vars = &edge_var[s..e];
-            let msgs = &mut c2v[s..e];
-            let ins = &mut inputs[..deg];
-            let mut min1 = f64::INFINITY;
-            let mut min2 = f64::INFINITY;
-            let mut min1_idx = 0usize;
-            let mut neg = false;
-            for (k, ((&v, msg), x)) in vars.iter().zip(msgs.iter()).zip(ins.iter_mut()).enumerate()
-            {
-                let val = clamp_sym(posterior[v as usize] - *msg, clamp);
-                *x = val;
-                let a = val.abs();
-                let is_new_min = a < min1;
-                let runner_up = sel(is_new_min, min1, a);
-                min2 = sel(runner_up < min2, runner_up, min2);
-                min1 = sel(is_new_min, a, min1);
-                min1_idx = sel_idx(is_new_min, k, min1_idx);
-                neg ^= val < 0.0;
-            }
-            let sign_target = Self::target_sign(target_words, c);
-            let signed_scale = flip_if(sign_target * SCALE, neg);
-            let mag1 = signed_scale * if min1.is_finite() { min1 } else { 0.0 };
-            let mag2 = signed_scale * if min2.is_finite() { min2 } else { 0.0 };
-            for (k, ((&v, msg), &x)) in vars.iter().zip(msgs.iter_mut()).zip(ins.iter()).enumerate()
-            {
-                let mag = sel(k == min1_idx, mag2, mag1);
-                let out = flip_if(mag, x < 0.0);
-                *msg = out;
-                posterior[v as usize] = clamp_sym(x + out, clamp);
-            }
-        }
-    }
-
-    fn decode_layered_scratch(
-        &self,
-        target: &BitVec,
-        scratch: &mut DecoderScratch,
-    ) -> DecodeOutcome {
-        let clamp = self.config.llr_clamp;
-        let num_edges = self.edge_var().len();
-        let words = self.n().div_ceil(64);
-        let DecoderScratch {
-            c2v,
-            posterior,
-            inputs,
-            hard,
-            syn,
-        } = scratch;
-        let c2v = &mut c2v[..num_edges];
-        // The caller seeded `posterior` with the channel priors.
-        let posterior = &mut posterior[..self.n()];
-        let hard = &mut hard[..words];
-        let target_words = target.as_words();
-
-        c2v.fill(0.0);
-
-        for iter in 1..=self.config.max_iterations {
-            self.min_sum_layered_sweep(clamp, c2v, posterior, inputs, target_words);
-            hard.fill(0);
-            for (v, &llr) in posterior.iter().enumerate() {
-                hard[v >> 6] |= u64::from(llr < 0.0) << (v & 63);
-            }
-            if self.syndrome_ok_packed(hard, target_words, syn) {
-                return DecodeOutcome {
-                    error_pattern: self.pattern_from_words(hard),
-                    converged: true,
-                    iterations: iter,
-                };
-            }
-        }
-        DecodeOutcome {
-            error_pattern: self.pattern_from_words(hard),
-            converged: false,
-            iterations: self.config.max_iterations,
-        }
-    }
-
-    /// Layered min-sum over a circulant-layered matrix, a whole layer in
-    /// lockstep (see the module docs). The caller seeded `posterior` in the
-    /// [`BLOCK_STRIDE`] layout.
-    fn decode_layered_circulant(
-        &self,
-        target: &BitVec,
-        scratch: &mut DecoderScratch,
-    ) -> DecodeOutcome {
+    /// Layered min-sum, a whole layer in lockstep (see the module docs). The
+    /// caller seeded `posterior` in the [`BLOCK_STRIDE`] layout.
+    fn decode_layered(&self, target: &BitVec, scratch: &mut DecoderScratch) -> DecodeOutcome {
         let clamp = self.config.llr_clamp;
         let blocks = self.n() / LANES;
         let c2v = &mut scratch.c2v[..self.matrix.num_edges()];
@@ -663,11 +432,11 @@ impl SyndromeDecoder {
         c2v.fill(0.0);
 
         for iter in 1..=self.config.max_iterations {
-            match self.sweep {
+            if self.avx2 {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `avx2` is only set when AVX2 was detected; the
                 // kernels check every bound they rely on.
-                Sweep::Circulant { avx2: true } => unsafe {
+                unsafe {
                     crate::simd::circulant_layered_sweep(
                         self.check_offsets(),
                         self.edge_var(),
@@ -679,15 +448,14 @@ impl SyndromeDecoder {
                         stash,
                     );
                     crate::simd::pack_negative(posterior, hard);
-                },
-                _ => {
-                    self.circulant_layered_sweep(clamp, c2v, posterior, stash, target_words);
-                    for (word, block) in hard.iter_mut().zip(posterior.chunks_exact(BLOCK_STRIDE)) {
-                        *word = block[..LANES]
-                            .iter()
-                            .enumerate()
-                            .fold(0, |w, (lane, &llr)| w | u64::from(llr < 0.0) << lane);
-                    }
+                }
+            } else {
+                self.circulant_layered_sweep(clamp, c2v, posterior, stash, target_words);
+                for (word, block) in hard.iter_mut().zip(posterior.chunks_exact(BLOCK_STRIDE)) {
+                    *word = block[..LANES]
+                        .iter()
+                        .enumerate()
+                        .fold(0, |w, (lane, &llr)| w | u64::from(llr < 0.0) << lane);
                 }
             }
             self.matrix.syndrome_words(hard, syn);
@@ -706,11 +474,15 @@ impl SyndromeDecoder {
         }
     }
 
-    /// Portable circulant-lane sweep: [`Self::min_sum_layered_check`] for the
-    /// 64 checks of a layer at once, lane `i` being check `layer·64 + i`.
-    /// Edge `k` of the layer, with base entry `v_k`, pairs lane `i` with
-    /// variable `(i + s_k) mod 64` of block `v_k >> 6` — a rotation of the
-    /// block by `s_k = v_k & 63` — and keeps its messages at
+    /// Portable circulant-lane sweep: the min-sum layered update of the 64
+    /// checks of a layer at once, lane `i` being check `layer·64 + i`. Every
+    /// lane runs one check's operation sequence — clamped extrinsic inputs
+    /// and the two-minimum/sign scan in edge order, then the outgoing
+    /// messages and posterior updates — with branchless mask selects for the
+    /// value-dependent choices; the arithmetic is bit-identical to the
+    /// reference. Edge `k` of the layer, with base entry `v_k`, pairs lane `i`
+    /// with variable `(i + s_k) mod 64` of block `v_k >> 6` — a rotation of
+    /// the block by `s_k = v_k & 63` — and keeps its messages at
     /// `c2v[layer start + k·64 + i]`; `stash` holds the layer's extrinsic
     /// inputs in the same `[k][lane]` order.
     fn circulant_layered_sweep(
@@ -781,29 +553,6 @@ impl SyndromeDecoder {
                 block.copy_within(..MIRROR, LANES);
             }
         }
-    }
-
-    /// Word-packed convergence check: computes the syndrome of the packed
-    /// hard decisions by walking only the *set* bits (each flips its
-    /// adjacent checks via the variable-major column map), then compares
-    /// whole words against the target. Near convergence the hard-decision
-    /// weight is a few percent of the block, so this touches a small
-    /// fraction of the edges a full check-major parity sweep would.
-    fn syndrome_ok_packed(&self, hard: &[u64], target_words: &[u64], syn: &mut [u64]) -> bool {
-        let syn = &mut syn[..self.m().div_ceil(64)];
-        syn.fill(0);
-        for (wi, &word) in hard.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let v = (wi << 6) + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let (s, e) = self.var_range(v);
-                for &c in &self.matrix.var_check()[s..e] {
-                    syn[(c >> 6) as usize] ^= 1u64 << (c & 63);
-                }
-            }
-        }
-        syn == target_words
     }
 }
 
@@ -925,7 +674,6 @@ impl SyndromeDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Construction;
     use crate::reconciler::ReconcilerConfig;
     use qkd_types::key::binary_entropy;
     use qkd_types::rng::derive_rng;
@@ -1057,7 +805,7 @@ mod tests {
 
     #[test]
     fn quasi_cyclic_code_decodes_too() {
-        let h = ParityCheckMatrix::quasi_cyclic(4096, 2048, 64, 6, 21).unwrap();
+        let h = ParityCheckMatrix::quasi_cyclic(4096, 2048, 6, 21).unwrap();
         let mut rng = derive_rng(22, "decoder-test");
         let truth = random_error(&mut rng, 4096, 0.02);
         let syndrome = h.syndrome(&truth);
@@ -1094,30 +842,31 @@ mod tests {
         }
     }
 
-    /// One scratch serves decoders of different sizes in any order.
+    /// One scratch serves decoders of different sizes in any order; its
+    /// stale contents from a larger code do not leak into a smaller one.
     #[test]
     fn scratch_reuse_across_block_sizes_is_safe() {
         let mut rng = derive_rng(35, "decoder-mixed");
         let mut scratch = DecoderScratch::new();
-        for &(n, seed) in &[(1024usize, 1u64), (256, 2), (2048, 3), (512, 4)] {
-            let h = setup(n, 0.5, seed);
+        for &(n, rate, seed) in &[
+            (16_384usize, 0.75, 3u64),
+            (1024, 0.5, 1),
+            (256, 0.5, 2),
+            (4096, 0.75, 4),
+            (2048, 0.5, 3),
+            (512, 0.5, 4),
+            (16_384, 0.75, 3),
+        ] {
+            let h = setup(n, rate, seed);
             let truth = random_error(&mut rng, h.num_vars(), 0.02);
-            let syndrome = h.syndrome(&truth);
             let dec = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
-            let reference = dec.decode_reference(&syndrome, 0.02, &[]).unwrap();
-            let optimized = dec
-                .decode_with_scratch(&syndrome, 0.02, &[], &mut scratch)
-                .unwrap();
-            assert_eq!(
-                reference, optimized,
-                "size {n} diverged with reused scratch"
-            );
+            let out = decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &[], &mut scratch);
+            assert!(out.converged, "size {n} did not converge");
         }
     }
 
-    /// Decodes on every path a circulant-layered matrix has — the sweep
-    /// `new` dispatched, the portable circulant-lane sweep, the per-check
-    /// CSR sweep — and on the reference, and demands one outcome (error
+    /// Decodes on both forms of the sweep — the one `new` dispatched and the
+    /// portable one — and on the reference, and demands one outcome (error
     /// pattern, convergence flag, iteration count).
     fn decode_on_every_path(
         dec: &SyndromeDecoder,
@@ -1127,22 +876,15 @@ mod tests {
         scratch: &mut DecoderScratch,
     ) -> DecodeOutcome {
         let reference = dec.decode_reference(target, qber, overrides).unwrap();
-        for sweep in [
-            dec.sweep.clone(),
-            Sweep::Circulant { avx2: false },
-            Sweep::Scalar,
-        ] {
-            if sweep.is_circulant() && !dec.matrix.is_circulant_layered() {
-                continue;
-            }
+        for avx2 in [dec.avx2, false] {
             let path = SyndromeDecoder {
-                sweep,
+                avx2,
                 ..dec.clone()
             };
             let out = path
                 .decode_with_scratch(target, qber, overrides, scratch)
                 .unwrap();
-            assert_eq!(out, reference, "{:?} diverged", path.sweep);
+            assert_eq!(out, reference, "{} diverged", path.kernel());
         }
         reference
     }
@@ -1157,7 +899,11 @@ mod tests {
 
         let truth = random_error(&mut rng, n, qber);
         let out = decode_on_every_path(&dec, &h.syndrome(&truth), qber, &[], scratch);
-        assert!(out.converged && out.error_pattern == truth);
+        assert!(
+            out.converged && out.error_pattern == truth,
+            "n {n} rate {} qber {qber}",
+            h.rate()
+        );
 
         let payload = n - n / 10;
         let mut shortened = random_error(&mut rng, n, qber);
@@ -1181,17 +927,18 @@ mod tests {
     #[test]
     fn circulant_lane_sweep_is_bit_identical_on_every_library_code() {
         let mut scratch = DecoderScratch::new();
-        let library = ReconcilerConfig::for_block_size(16_384);
-        for (i, &rate) in library.rates.iter().enumerate() {
-            let h = ParityCheckMatrix::for_rate(16_384, rate, library.seed + i as u64).unwrap();
-            let dec = SyndromeDecoder::new(&h, library.decoder).unwrap();
-            assert!(dec.sweep.is_circulant(), "rate {rate} fell back to the CSR");
-            // An error rate the code corrects: h(q) = (1 - R) / 1.6.
-            let mut qber = 0.002;
-            while binary_entropy(qber + 0.002) * 1.6 <= 1.0 - rate {
-                qber += 0.002;
+        // An error rate each code corrects: h(q) = (1 - R) / margin, the
+        // shorter code given the wider margin.
+        for (block, margin) in [(4096, 2.4), (16_384, 1.6)] {
+            let library = ReconcilerConfig::for_block_size(block);
+            for (i, &rate) in library.rates.iter().enumerate() {
+                let h = ParityCheckMatrix::for_rate(block, rate, library.seed + i as u64).unwrap();
+                let mut qber = 0.002;
+                while binary_entropy(qber + 0.002) * margin <= 1.0 - h.rate() {
+                    qber += 0.002;
+                }
+                exercise_every_path(&h, qber, &mut scratch);
             }
-            exercise_every_path(&h, qber, &mut scratch);
         }
     }
 
@@ -1204,9 +951,8 @@ mod tests {
                 blocks * LANES,
                 layers * LANES,
                 &layered_rows(&random_layers(seed, blocks, layers)),
-                Construction::QuasiCyclic { circulant: LANES },
-            );
-            assert!(h.is_circulant_layered());
+            )
+            .unwrap();
             let dec = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
             let mut rng = derive_rng(seed, "small-layered");
             for true_qber in [0.005, 0.03, 0.2] {
@@ -1215,59 +961,8 @@ mod tests {
                 decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &pins, &mut scratch);
             }
         }
-        let h = ParityCheckMatrix::quasi_cyclic(1024, 256, 64, 8, 6).unwrap();
+        let h = ParityCheckMatrix::quasi_cyclic(1024, 256, 8, 6).unwrap();
         exercise_every_path(&h, 0.01, &mut scratch);
-    }
-
-    /// Matrices that miss the structure by a hair keep the CSR sweeps and
-    /// decode exactly as the reference does.
-    #[test]
-    fn unstructured_matrices_fall_back_and_decode_identically() {
-        use crate::matrix::tests::layered_rows;
-        let layers = vec![
-            vec![(0, 0), (2, 63), (3, 17), (5, 9)],
-            vec![(1, 5), (2, 40), (4, 1), (5, 33)],
-            vec![(0, 21), (1, 62), (3, 3), (4, 50)],
-        ];
-        let mut moved = layered_rows(&layers);
-        moved[70][1] ^= 1;
-        let mut repeated = layers.clone();
-        repeated[0][2].0 = 2;
-        let mut thin = layers.clone();
-        thin[1].truncate(1);
-        let mut scratch = DecoderScratch::new();
-        for h in [
-            ParityCheckMatrix::peg(384, 192, 3, 4).unwrap(),
-            ParityCheckMatrix::from_rows(384, 192, &moved, Construction::Peg),
-            ParityCheckMatrix::from_rows(384, 192, &layered_rows(&repeated), Construction::Peg),
-            ParityCheckMatrix::from_rows(384, 192, &layered_rows(&thin), Construction::Peg),
-        ] {
-            assert!(!h.is_circulant_layered());
-            let dec = SyndromeDecoder::new(&h, DecoderConfig::default()).unwrap();
-            assert!(!dec.sweep.is_circulant());
-            let mut rng = derive_rng(6, "fallback");
-            for true_qber in [0.01, 0.1] {
-                let truth = random_error(&mut rng, 384, true_qber);
-                decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &[], &mut scratch);
-            }
-        }
-    }
-
-    /// The two layouts one scratch holds in turn (blocks with mirrors for a
-    /// circulant-layered code, flat for a PEG code) do not leak into each
-    /// other.
-    #[test]
-    fn scratch_reuse_across_structured_and_unstructured_codes_is_safe() {
-        let mut scratch = DecoderScratch::new();
-        let large = setup(16_384, 0.75, 3);
-        let small = setup(4096, 0.75, 4);
-        for h in [&large, &small, &large] {
-            let dec = SyndromeDecoder::new(h, DecoderConfig::default()).unwrap();
-            let mut rng = derive_rng(36, "decoder-mixed");
-            let truth = random_error(&mut rng, h.num_vars(), 0.02);
-            let out = decode_on_every_path(&dec, &h.syndrome(&truth), 0.02, &[], &mut scratch);
-            assert!(out.converged);
-        }
     }
 
     mod properties {
@@ -1275,19 +970,16 @@ mod tests {
         use proptest::prelude::*;
         use std::sync::OnceLock;
 
-        /// PEG and quasi-cyclic matrices, built once (construction is the
-        /// expensive part, the property is not).
+        /// Quasi-cyclic matrices from 256 to 4096 bits, built once.
         fn matrices() -> &'static [ParityCheckMatrix] {
             static MATRICES: OnceLock<Vec<ParityCheckMatrix>> = OnceLock::new();
             MATRICES.get_or_init(|| {
-                let mut all: Vec<ParityCheckMatrix> = [256usize, 512, 1024, 2048]
+                let mut all: Vec<ParityCheckMatrix> = [256usize, 512, 1024, 2048, 4096]
                     .iter()
                     .map(|&n| setup(n, 0.5, 700 + n as u64))
                     .collect();
                 for n in [1024usize, 2048] {
-                    let h = ParityCheckMatrix::quasi_cyclic(n, n / 2, 64, 6, n as u64).unwrap();
-                    assert!(h.is_circulant_layered());
-                    all.push(h);
+                    all.push(ParityCheckMatrix::quasi_cyclic(n, n / 2, 6, n as u64).unwrap());
                 }
                 all
             })
@@ -1296,9 +988,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
 
-            /// Every sweep the matrix admits returns the reference's outcome
-            /// (error pattern, convergence flag, iteration count) under
-            /// shortened-style LLR overrides, on PEG and quasi-cyclic codes.
+            /// Both forms of the sweep return the reference's outcome (error
+            /// pattern, convergence flag, iteration count) under
+            /// shortened-style LLR overrides, on codes from 256 to 4096 bits.
             #[test]
             fn scratch_decoder_matches_reference(seed in any::<u64>(), qber in 0.005f64..0.08) {
                 let matrices = matrices();

@@ -9,12 +9,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`matrix`] — sparse parity-check matrices (one flat, shared CSR) with
-//!   progressive-edge-growth (PEG) and quasi-cyclic constructions, the latter
-//!   recognised as circulant layers with rotate-XOR syndromes;
+//! * [`matrix`] — sparse parity-check matrices (one flat, shared CSR), every
+//!   one quasi-cyclic at circulant 64 and verified at construction to form
+//!   circulant layers, with rotate-XOR syndromes;
 //! * [`decoder`] — the belief-propagation syndrome decoder: normalised
-//!   min-sum on the layered schedule, run as a circulant-lane sweep on the
-//!   quasi-cyclic codes and over the CSR on the others;
+//!   min-sum on the layered schedule, run as a circulant-lane sweep (AVX2 or
+//!   portable) that updates a whole 64-check layer in lockstep;
 //! * [`reconciler`] — the rate-adaptive reconciliation protocol with a code
 //!   library, shortening-based fine rate adaptation and leakage accounting.
 //!
@@ -47,7 +47,7 @@ pub mod reconciler;
 mod simd;
 
 pub use decoder::{DecodeOutcome, DecoderConfig, DecoderScratch, SyndromeDecoder};
-pub use matrix::{Construction, ParityCheckMatrix};
+pub use matrix::ParityCheckMatrix;
 pub use reconciler::{
     CodeLibrary, LdpcOutcome, LdpcReconciler, ReconcilerConfig, ReconcilerScratch,
 };

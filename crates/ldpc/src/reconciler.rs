@@ -18,7 +18,7 @@ use qkd_types::secret::zeroize_words;
 use qkd_types::{BitVec, QkdError, Result};
 
 use crate::decoder::{DecoderConfig, DecoderScratch, SyndromeDecoder};
-use crate::matrix::ParityCheckMatrix;
+use crate::matrix::{validate_block_size, ParityCheckMatrix};
 
 /// Default set of mother-code design rates.
 ///
@@ -30,9 +30,10 @@ use crate::matrix::ParityCheckMatrix;
 /// only ~280 bits there before the finite-key deviation term, so such blocks
 /// still fail at privacy amplification, not at decoding.)
 ///
-/// Rates are listed in construction order, not sorted: each code's PEG seed
-/// is derived from its position in this array, so new rates are appended to
-/// keep every existing code — and thus every distilled key — bit-stable.
+/// Rates are listed in construction order, not sorted: each code's
+/// construction seed is derived from its position in this array, so new
+/// rates are appended to keep every existing code — and thus every distilled
+/// key — bit-stable.
 pub const DEFAULT_RATES: [f64; 9] = [0.4, 0.45, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.3];
 
 /// A library of mother codes (one per design rate) for a fixed block size,
@@ -59,22 +60,15 @@ impl CodeLibrary {
     ///
     /// # Errors
     ///
-    /// Returns [`QkdError::InvalidParameter`] when `block_size` is too small,
-    /// a rate is degenerate, or `block_size` is one the constructions cannot
-    /// build exactly: from 16 384 bits up the codes are quasi-cyclic at
-    /// circulant 64, so the size must be a multiple of 64.
+    /// Returns [`QkdError::InvalidParameter`] when `block_size` is one the
+    /// quasi-cyclic construction cannot build exactly (under 256 bits or not
+    /// a multiple of 64), or a rate is degenerate or too high for the size.
     pub fn new(
         block_size: usize,
         rates: &[f64],
         decoder_config: DecoderConfig,
         seed: u64,
     ) -> Result<Self> {
-        if block_size < 64 {
-            return Err(QkdError::invalid_parameter(
-                "block_size",
-                "must be at least 64 bits",
-            ));
-        }
         if rates.is_empty() {
             return Err(QkdError::invalid_parameter(
                 "rates",
@@ -84,16 +78,6 @@ impl CodeLibrary {
         let build = |i: usize| -> Result<LibraryEntry> {
             let matrix =
                 ParityCheckMatrix::for_rate(block_size, rates[i], seed.wrapping_add(i as u64))?;
-            if matrix.num_vars() != block_size {
-                return Err(QkdError::invalid_parameter(
-                    "block_size",
-                    format!(
-                        "blocks of 16384 bits and above must be a multiple of 64 bits; \
-                         {block_size} would be cut to a {}-bit code",
-                        matrix.num_vars()
-                    ),
-                ));
-            }
             let decoder = SyndromeDecoder::new(&matrix, decoder_config)?;
             Ok(LibraryEntry {
                 rate: rates[i],
@@ -162,9 +146,9 @@ impl CodeLibrary {
     /// Returns the process-wide shared library for this exact configuration,
     /// building it on first use.
     ///
-    /// Code construction is expensive — PEG is quadratic in the block length,
-    /// and a default ladder is eight codes — while the result is a pure
-    /// function of `(block_size, rates, decoder_config, seed)`. Every
+    /// A library is nine codes and their decoders — milliseconds to build and
+    /// megabytes to hold at 16 384 bits — and a pure function of
+    /// `(block_size, rates, decoder_config, seed)`. Every
     /// [`crate::LdpcReconciler`] with the same configuration (e.g. a fleet of
     /// engines at one block size) therefore shares one immutable library
     /// instead of rebuilding it per engine.
@@ -288,14 +272,11 @@ impl ReconcilerConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`QkdError::InvalidParameter`] for degenerate fields.
+    /// Returns [`QkdError::InvalidParameter`] for degenerate fields and for a
+    /// block size the codes cannot be built at (under 256 bits or not a
+    /// multiple of 64).
     pub fn validate(&self) -> Result<()> {
-        if self.block_size < 64 {
-            return Err(QkdError::invalid_parameter(
-                "block_size",
-                "must be at least 64 bits",
-            ));
-        }
+        validate_block_size(self.block_size)?;
         // Written so that NaN fails it too.
         if !(self.efficiency_target.is_finite() && self.efficiency_target >= 1.0) {
             return Err(QkdError::invalid_parameter(
@@ -899,18 +880,24 @@ mod tests {
         }
     }
 
-    /// Blocks of 16 384 bits and above get quasi-cyclic codes at circulant
-    /// 64; a size in between used to build a shorter code and panic on the
-    /// first syndrome.
+    /// Every code is quasi-cyclic at circulant 64 with at least four base
+    /// columns. A size off the 64-bit grid used to build a shorter code and
+    /// panic on the first syndrome, and one under 256 bits to panic in
+    /// construction.
     #[test]
     fn block_sizes_the_constructions_cannot_hit_are_refused() {
-        let err = LdpcReconciler::new(ReconcilerConfig::for_block_size(20_000)).unwrap_err();
-        assert!(
+        let refused = |err: QkdError| {
             matches!(&err, QkdError::InvalidParameter { name, reason }
-                if *name == "block_size" && reason.contains("multiple of 64")),
-            "{err}"
-        );
+                if *name == "block_size" && reason.contains("multiple of 64"))
+        };
+        for block in [128, 192, 1000, 20_000] {
+            let err = LdpcReconciler::new(ReconcilerConfig::for_block_size(block)).unwrap_err();
+            assert!(refused(err), "{block}");
+            let err = CodeLibrary::new(block, &[0.5], DecoderConfig::default(), 1).unwrap_err();
+            assert!(refused(err), "{block}");
+        }
         assert!(CodeLibrary::new(20_032, &[0.8], DecoderConfig::default(), 1).is_ok());
+        assert!(CodeLibrary::new(256, &[0.5], DecoderConfig::default(), 1).is_ok());
     }
 
     #[test]

@@ -1,44 +1,29 @@
 //! AVX2 kernels for the min-sum layered sweep — the crate's one `unsafe`
-//! module. Which kernel serves which matrix is decided once, in
-//! `SyndromeDecoder::new`.
+//! module. Whether they run is decided once, in `SyndromeDecoder::new`.
 //!
 //! **Circulant-lane** ([`circulant_layered_sweep`], [`pack_negative`]) serves
-//! every matrix whose checks form layers of 64 rows lifted from one base row
-//! by cyclic shifts — the quasi-cyclic codes at circulant 64, i.e. every
-//! library code of 16 384 bits and up. The lane is the position inside the
-//! circulant: for edge `k` of a layer, the posteriors of four consecutive
-//! checks are four consecutive entries of one 64-variable block, so they
-//! arrive with one unaligned load (the block layout carries a three-entry
-//! mirror behind each block, so a rotated run never wraps), the layer's
-//! messages sit `[k][lane]`, and the two minima, the arg-min and the sign
-//! parity stay in registers across `k`. No gather, no scatter, no index
+//! every matrix: each is quasi-cyclic at circulant 64, its checks layers of
+//! 64 rows lifted from one base row by cyclic shifts. The lane is the position
+//! inside the circulant: for edge `k` of a layer, the posteriors of four
+//! consecutive checks are four consecutive entries of one 64-variable block,
+//! so they arrive with one unaligned load (the block layout carries a
+//! three-entry mirror behind each block, so a rotated run never wraps), the
+//! layer's messages sit `[k][lane]`, and the two minima, the arg-min and the
+//! sign parity stay in registers across `k`. No gather, no scatter, no index
 //! array. The 64 checks of a layer are pairwise variable-disjoint (base
 //! columns are distinct within a layer), so the layered schedule's
-//! sequential semantics are unobservable inside a layer and the lockstep
-//! sweep is **bit-identical** to the scalar one.
+//! sequential semantics are unobservable inside a layer.
 //!
-//! **Lane-per-check quads** ([`build_schedule`], [`min_sum_layered_quad`])
-//! serve every other matrix (the PEG codes below 16 384 bits). The layered
-//! schedule is sequential by definition — check `c + 1` must see the
-//! posterior updates of check `c` when they share a variable. The
-//! construction pass therefore groups *consecutive, pairwise
-//! variable-disjoint, equal-degree* checks into quads: within a quad the
-//! sequential semantics are unobservable, so the four checks can ride one
-//! AVX2 lane each, gathered through the CSR indices.
+//! Every lane executes exactly the per-check operation sequence of the
+//! portable sweep in `decoder.rs` (same clamps, same two-minimum scan in edge
+//! order, same sign parity, same rounding; the minima are taken with
+//! `min`/`max`, which on the non-NaN magnitudes seen here select the same
+//! values as the portable compare-and-select). Results are bit-identical to
+//! the portable sweep — and hence to the retained reference decoder — on
+//! every machine; hosts without AVX2 run the portable form.
 //!
-//! In both, every lane executes exactly the scalar per-check operation
-//! sequence of `SyndromeDecoder::min_sum_layered_check` (same clamps, same
-//! two-minimum scan in edge order, same sign parity, same rounding; the
-//! circulant kernel takes the two minima with `min`/`max`, which on the
-//! non-NaN magnitudes it sees select the same values as the scalar
-//! compare-and-select). Results are bit-identical to the scalar sweep — and
-//! hence to the retained reference decoder — on every machine; hosts
-//! without AVX2 run the portable forms in `decoder.rs`.
-//!
-//! Safety: the only unsafe operations are AVX2 intrinsics. The quad kernel
-//! runs on indices the matrix bounds-validated at construction (every
-//! `edge_var` entry is `< n`, every edge offset `< num_edges`); the circulant
-//! kernel re-checks, per layer, every bound its unchecked accesses rely on.
+//! Safety: the only unsafe operations are AVX2 intrinsics. The sweep
+//! re-checks, per layer, every bound its unchecked accesses rely on.
 //! `unsafe_op_in_unsafe_fn` is denied so each memory-touching operation
 //! carries its own `// SAFETY:` justification — register-only intrinsics are
 //! safe here because the enclosing function enables the `avx2` target
@@ -51,196 +36,6 @@ use std::arch::x86_64::*;
 
 use crate::decoder::{BLOCK_STRIDE, MIRROR};
 use crate::matrix::LANES;
-
-/// Flag marking a schedule entry as a quad start (the entry's low bits are
-/// the first of four consecutive checks).
-pub(crate) const QUAD: u32 = 0x8000_0000;
-
-/// Maximum check degree a quad may have (bounds the in-register value
-/// stash).
-pub(crate) const MAX_QUAD_DEGREE: usize = 16;
-
-/// Builds the quad schedule: entries are either `c | QUAD` (checks
-/// `c..c + 4` share one degree and are pairwise variable-disjoint, so quad
-/// lanes cannot observe each other's posterior writes) or a bare check index
-/// processed scalar. `stamp` is an `n`-sized zeroed scratch the caller
-/// provides.
-pub(crate) fn build_schedule(
-    m: usize,
-    check_offsets: &[u32],
-    edge_var: &[u32],
-    stamp: &mut [u32],
-) -> Vec<u32> {
-    let mut sched = Vec::with_capacity(m);
-    let mut generation = 0u32;
-    let mut c = 0usize;
-    while c < m {
-        let mut quad_ok = c + 4 <= m;
-        if quad_ok {
-            let deg = (check_offsets[c + 1] - check_offsets[c]) as usize;
-            quad_ok = (2..=MAX_QUAD_DEGREE).contains(&deg);
-            if quad_ok {
-                generation += 1;
-                'quad: for q in c..c + 4 {
-                    let (s, e) = (check_offsets[q] as usize, check_offsets[q + 1] as usize);
-                    if e - s != deg {
-                        quad_ok = false;
-                        break 'quad;
-                    }
-                    for &v in &edge_var[s..e] {
-                        if stamp[v as usize] == generation {
-                            quad_ok = false;
-                            break 'quad;
-                        }
-                        stamp[v as usize] = generation;
-                    }
-                }
-            }
-        }
-        if quad_ok {
-            sched.push(c as u32 | QUAD);
-            c += 4;
-        } else {
-            sched.push(c as u32);
-            c += 1;
-        }
-    }
-    sched
-}
-
-/// Lane-per-check min-sum layered update of one quad (checks `c..c + 4`,
-/// all of degree `deg`, pairwise variable-disjoint).
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available, `deg <= MAX_QUAD_DEGREE`, the four
-/// checks' edge ranges lie inside `c2v`/`edge_var`, and every variable index
-/// lies inside `posterior`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn min_sum_layered_quad(
-    c: usize,
-    deg: usize,
-    check_offsets: &[u32],
-    edge_var: &[u32],
-    target_words: &[u64],
-    scale: f64,
-    clamp: f64,
-    c2v: &mut [f64],
-    posterior: &mut [f64],
-) {
-    let sign_mask = _mm256_set1_pd(f64::from_bits(1u64 << 63));
-    let clamp_lo = _mm256_set1_pd(-clamp);
-    let clamp_hi = _mm256_set1_pd(clamp);
-    let zero = _mm256_setzero_pd();
-
-    // Edge starts of the four checks.
-    let starts = _mm_set_epi32(
-        check_offsets[c + 3] as i32,
-        check_offsets[c + 2] as i32,
-        check_offsets[c + 1] as i32,
-        check_offsets[c] as i32,
-    );
-
-    let mut vals = [_mm256_setzero_pd(); MAX_QUAD_DEGREE];
-    let mut vidx = [_mm_setzero_si128(); MAX_QUAD_DEGREE];
-    let mut min1 = _mm256_set1_pd(f64::INFINITY);
-    let mut min2 = _mm256_set1_pd(f64::INFINITY);
-    let mut min1_idx = _mm256_setzero_si256();
-    let mut neg = _mm256_setzero_pd();
-
-    // Pass 1 — extrinsic inputs and the two-minimum/sign scan, lanewise.
-    for (k, (val_k, vidx_k)) in vals[..deg]
-        .iter_mut()
-        .zip(vidx[..deg].iter_mut())
-        .enumerate()
-    {
-        let edge_k = _mm_add_epi32(starts, _mm_set1_epi32(k as i32));
-        // Variable indices of edge k in each lane's check.
-        // SAFETY: each lane of `edge_k` is `check_offsets[c+q] + k` with
-        // `k < deg`, so all four 4-byte gather offsets land inside
-        // `edge_var` (the caller guarantees the quad's edge ranges are
-        // in-bounds); `u32` entries are read as `i32` of identical width.
-        let vars = unsafe { _mm_i32gather_epi32(edge_var.as_ptr().cast::<i32>(), edge_k, 4) };
-        *vidx_k = vars;
-        // SAFETY: every `edge_var` entry is a variable index `< n ==
-        // posterior.len()` (validated at graph construction), so the four
-        // 8-byte lanes gather initialized `f64`s inside `posterior`.
-        let p = unsafe { _mm256_i32gather_pd(posterior.as_ptr(), vars, 8) };
-        // SAFETY: `edge_k` lanes are edge indices `< num_edges <=
-        // c2v.len()` (same in-bounds argument as the `edge_var` gather).
-        let msg = unsafe { _mm256_i32gather_pd(c2v.as_ptr(), edge_k, 8) };
-        let val = _mm256_min_pd(_mm256_max_pd(_mm256_sub_pd(p, msg), clamp_lo), clamp_hi);
-        *val_k = val;
-        let a = _mm256_andnot_pd(sign_mask, val);
-        // Lanewise two-minimum update, mirroring the scalar selects exactly.
-        let lt1 = _mm256_cmp_pd(a, min1, _CMP_LT_OQ);
-        let runner_up = _mm256_blendv_pd(a, min1, lt1);
-        let lt2 = _mm256_cmp_pd(runner_up, min2, _CMP_LT_OQ);
-        min2 = _mm256_blendv_pd(min2, runner_up, lt2);
-        min1 = _mm256_blendv_pd(min1, a, lt1);
-        let k_vec = _mm256_set1_epi64x(k as i64);
-        min1_idx = _mm256_blendv_epi8(min1_idx, k_vec, _mm256_castpd_si256(lt1));
-        neg = _mm256_xor_pd(neg, _mm256_cmp_pd(val, zero, _CMP_LT_OQ));
-    }
-
-    // Per-lane signed scale: ±scale from the target syndrome bit, sign-
-    // flipped by the lane's accumulated parity.
-    let base = |q: usize| -> f64 {
-        let bit = (target_words[(c + q) >> 6] >> ((c + q) & 63)) & 1;
-        if bit == 1 {
-            -scale
-        } else {
-            scale
-        }
-    };
-    let base_v = _mm256_set_pd(base(3), base(2), base(1), base(0));
-    let signed_scale = _mm256_xor_pd(base_v, _mm256_and_pd(neg, sign_mask));
-    // Degree >= 2 in every quad, so both minima are finite.
-    let mag1 = _mm256_mul_pd(signed_scale, min1);
-    let mag2 = _mm256_mul_pd(signed_scale, min2);
-
-    // Pass 2 — outgoing messages and posterior updates.
-    let mut starts_arr = [0i32; 4];
-    // SAFETY: `starts_arr` is a stack array of exactly four `i32`s (16
-    // bytes), matching the 128-bit store; `storeu` has no alignment
-    // requirement.
-    unsafe { _mm_storeu_si128(starts_arr.as_mut_ptr().cast::<__m128i>(), starts) };
-    for (k, (&val, &vars)) in vals[..deg].iter().zip(vidx[..deg].iter()).enumerate() {
-        let is_min = _mm256_cmpeq_epi64(min1_idx, _mm256_set1_epi64x(k as i64));
-        let mag = _mm256_blendv_pd(mag1, mag2, _mm256_castsi256_pd(is_min));
-        let out = _mm256_xor_pd(
-            mag,
-            _mm256_and_pd(_mm256_cmp_pd(val, zero, _CMP_LT_OQ), sign_mask),
-        );
-        let post = _mm256_min_pd(_mm256_max_pd(_mm256_add_pd(val, out), clamp_lo), clamp_hi);
-        // Scatter (AVX2 has gathers only): extract lanes to the four checks'
-        // message slots and posterior entries.
-        let mut out_arr = [0.0f64; 4];
-        let mut post_arr = [0.0f64; 4];
-        let mut var_arr = [0i32; 4];
-        // SAFETY: the destinations are stack arrays whose sizes match the
-        // stored vectors exactly — 4 × f64 (32 bytes) for the 256-bit
-        // stores, 4 × i32 (16 bytes) for the 128-bit store — and the
-        // unaligned-store intrinsics have no alignment requirement.
-        unsafe {
-            _mm256_storeu_pd(out_arr.as_mut_ptr(), out);
-            _mm256_storeu_pd(post_arr.as_mut_ptr(), post);
-            _mm_storeu_si128(var_arr.as_mut_ptr().cast::<__m128i>(), vars);
-        }
-        for q in 0..4 {
-            // SAFETY: `starts_arr[q] + k` is an edge index of check `c+q`
-            // with `k < deg`, in-bounds for `c2v`; `var_arr[q]` came from
-            // `edge_var`, whose entries are `< n == posterior.len()`. The
-            // quad is pairwise variable-disjoint, so the four lanes write
-            // four distinct posterior slots.
-            unsafe {
-                *c2v.get_unchecked_mut(starts_arr[q] as usize + k) = out_arr[q];
-                *posterior.get_unchecked_mut(var_arr[q] as usize) = post_arr[q];
-            }
-        }
-    }
-}
 
 /// One min-sum layered sweep over a circulant-layered matrix, a whole
 /// 64-check layer in lockstep: lane `i` of layer `l` is check `l·64 + i`.

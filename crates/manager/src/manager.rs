@@ -1142,17 +1142,20 @@ mod tests {
         assert_eq!(report.total_secret_bits(), 0);
     }
 
-    /// A 16 384-bit-and-up block size that is not a multiple of 64 used to be
-    /// accepted here and then panic inside a fleet worker at the first
-    /// syndrome (the quasi-cyclic code is built 32 bits short).
+    /// A block size that is not a multiple of 64 used to be accepted here
+    /// and then panic inside a fleet worker at the first syndrome (the
+    /// quasi-cyclic code is built short), and one under 256 bits panics in
+    /// code construction.
     #[test]
     fn a_block_size_the_code_library_cannot_build_is_refused_at_add_link() {
         let mut mgr = manager(1, 1);
-        let spec = LinkSpec::from_preset(WorkloadPreset::Metro, 20_000, 7);
-        assert!(matches!(
-            mgr.add_link(spec),
-            Err(QkdError::InvalidParameter { .. })
-        ));
+        for block in [128, 192, 1000, 20_000] {
+            let spec = LinkSpec::from_preset(WorkloadPreset::Metro, block, 7);
+            assert!(
+                matches!(mgr.add_link(spec), Err(QkdError::InvalidParameter { .. })),
+                "{block}"
+            );
+        }
         assert_eq!(mgr.num_links(), 0);
     }
 

@@ -469,11 +469,15 @@ fn fixed_seed_keys_and_ledger_match_the_committed_golden() {
     assert_eq!(ledger, GOLDEN_16384.1);
 }
 
+/// Re-recorded when the 4096-bit codes became quasi-cyclic: blocks 1–2
+/// reconcile on the rate-0.75 code (1024 checks before and after) and keep
+/// their keys; blocks 3–4 on the rate-0.70 code, whose checks went 1229 →
+/// 1216, so each discloses 13 syndrome bits less and distils 13 more.
 const GOLDEN_4096: (&[u32], &str) = (
-    &[0xdd2c_59e1, 0x19bd_e281, 0xfe5f_2ffa, 0xfd16_c83e],
+    &[0xdd2c_59e1, 0x19bd_e281, 0x7031_707d, 0x791d_2386],
     "SessionAccounting { blocks_ok: 4, blocks_failed: 0, sifted_bits_in: 16384, \
-     secret_bits_out: 2917, disclosed_bits: 7218, auth_bits_consumed: 2560, carried_bits: 0, \
-     discarded_bits: 0, round_trips: 16, messages: 24, payload_bits: 11978 }",
+     secret_bits_out: 2943, disclosed_bits: 7192, auth_bits_consumed: 2560, carried_bits: 0, \
+     discarded_bits: 0, round_trips: 16, messages: 24, payload_bits: 11952 }",
 );
 const GOLDEN_16384: (&[u32], &str) = (
     &[0xee62_fb58, 0x202f_314c, 0xc5fc_9960],
