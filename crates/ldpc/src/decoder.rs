@@ -12,12 +12,12 @@
 //! # Hot-path layout
 //!
 //! The decoder is the fleet's hot loop. It reads the Tanner graph straight
-//! from the [`ParityCheckMatrix`] it is bound to (one flat `u32` CSR, shared,
-//! not copied), keeps the message-passing state in flat arrays, and draws
-//! every buffer the iteration loops touch from a caller-owned
-//! [`DecoderScratch`] that is reused across iterations, blocks and
-//! rate-ladder attempts — after the first decode at a given size, a decode
-//! performs **zero heap allocations** inside the iteration loops.
+//! from the base rows of the [`ParityCheckMatrix`] it is bound to (one `u32`
+//! per circulant, a few KB a code), keeps the message-passing state in flat
+//! arrays, and draws every buffer the iteration loops touch from a
+//! caller-owned [`DecoderScratch`] that is reused across iterations, blocks
+//! and rate-ladder attempts — after the first decode at a given size, a
+//! decode performs **zero heap allocations** inside the iteration loops.
 //!
 //! Every matrix is quasi-cyclic at circulant 64, its checks layers of 64
 //! rows lifted from one base row by cyclic shifts, so the sweep runs a whole
@@ -222,9 +222,8 @@ fn kernel_label(avx2: bool) -> &'static str {
 
 /// A belief-propagation syndrome decoder bound to one parity-check matrix.
 ///
-/// The decoder shares the matrix's flat check-major Tanner graph instead of
-/// copying it. The decoder itself is immutable and shareable; all mutable
-/// decode state lives in a [`DecoderScratch`].
+/// The decoder holds the matrix's base rows. It is immutable and shareable;
+/// all mutable decode state lives in a [`DecoderScratch`].
 #[derive(Debug, Clone)]
 pub struct SyndromeDecoder {
     config: DecoderConfig,
@@ -249,7 +248,7 @@ impl SyndromeDecoder {
     pub fn new(matrix: &ParityCheckMatrix, config: DecoderConfig) -> Result<Self> {
         config.validate()?;
         let max_check_degree = matrix
-            .check_offsets()
+            .row_offsets()
             .windows(2)
             .map(|w| (w[1] - w[0]) as usize)
             .max()
@@ -300,11 +299,6 @@ impl SyndromeDecoder {
         self.n()
     }
 
-    /// Syndrome length this decoder expects.
-    pub fn syndrome_len(&self) -> usize {
-        self.m()
-    }
-
     #[inline]
     fn n(&self) -> usize {
         self.matrix.num_vars()
@@ -313,16 +307,6 @@ impl SyndromeDecoder {
     #[inline]
     fn m(&self) -> usize {
         self.matrix.num_checks()
-    }
-
-    #[inline]
-    fn edge_var(&self) -> &[u32] {
-        self.matrix.edge_var()
-    }
-
-    #[inline]
-    fn check_offsets(&self) -> &[u32] {
-        self.matrix.check_offsets()
     }
 
     fn validate_inputs(&self, target_syndrome: &BitVec, qber: f64) -> Result<()> {
@@ -438,8 +422,8 @@ impl SyndromeDecoder {
                 // kernels check every bound they rely on.
                 unsafe {
                     crate::simd::circulant_layered_sweep(
-                        self.check_offsets(),
-                        self.edge_var(),
+                        self.matrix.row_offsets(),
+                        self.matrix.entries(),
                         target_words,
                         SCALE,
                         clamp,
@@ -483,8 +467,8 @@ impl SyndromeDecoder {
     /// reference. Edge `k` of the layer, with base entry `v_k`, pairs lane `i`
     /// with variable `(i + s_k) mod 64` of block `v_k >> 6` — a rotation of
     /// the block by `s_k = v_k & 63` — and keeps its messages at
-    /// `c2v[layer start + k·64 + i]`; `stash` holds the layer's extrinsic
-    /// inputs in the same `[k][lane]` order.
+    /// `c2v[64·row_offsets[layer] + k·64 + i]`; `stash` holds the layer's
+    /// extrinsic inputs in the same `[k][lane]` order.
     fn circulant_layered_sweep(
         &self,
         clamp: f64,
@@ -493,11 +477,11 @@ impl SyndromeDecoder {
         stash: &mut [f64],
         target_words: &[u64],
     ) {
-        let offsets = self.check_offsets();
+        let offsets = self.matrix.row_offsets();
         let mut rotated = [0.0f64; LANES];
         for (layer, &target) in target_words.iter().enumerate() {
-            let start = offsets[layer * LANES] as usize;
-            let base = &self.edge_var()[start..offsets[layer * LANES + 1] as usize];
+            let base = &self.matrix.entries()[offsets[layer] as usize..offsets[layer + 1] as usize];
+            let start = offsets[layer] as usize * LANES;
             let msgs = &mut c2v[start..start + base.len() * LANES];
             let mut min1 = [f64::INFINITY; LANES];
             let mut min2 = [f64::INFINITY; LANES];
@@ -560,9 +544,9 @@ impl SyndromeDecoder {
 impl SyndromeDecoder {
     /// The equivalence oracle: the layered min-sum decoder written plainly —
     /// per-call message buffers, per-check `Vec` construction and cloning,
-    /// its own branchy check update, bit-by-bit syndrome checks. It shares
-    /// only the flat adjacency with the sweeps it checks, and every one of
-    /// them must return its outcome bit for bit.
+    /// its own branchy check update, bit-by-bit syndrome checks. It reads the
+    /// matrix through its per-check rows, not the base rows the sweeps read,
+    /// and every sweep must return its outcome bit for bit.
     fn decode_reference(
         &self,
         target: &BitVec,
@@ -577,32 +561,35 @@ impl SyndromeDecoder {
                 posterior[v] = llr.clamp(-clamp, clamp);
             }
         }
-        let mut c2v = vec![0.0f64; self.edge_var().len()];
+        let rows = self.matrix.rows();
+        let mut c2v: Vec<Vec<f64>> = rows.iter().map(|row| vec![0.0; row.len()]).collect();
         let mut hard = BitVec::zeros(self.n());
 
         for iter in 1..=self.config.max_iterations {
-            for c in 0..self.m() {
-                let (s, e) = self.check_range(c);
+            for (c, (row, msgs)) in rows.iter().zip(&mut c2v).enumerate() {
                 let sign_target = if target.get(c) { -1.0 } else { 1.0 };
                 // Extrinsic inputs: posterior minus this check's previous
                 // message.
-                let mut buf: Vec<f64> = (s..e)
-                    .map(|edge| {
-                        (posterior[self.edge_var()[edge] as usize] - c2v[edge]).clamp(-clamp, clamp)
-                    })
+                let mut buf: Vec<f64> = row
+                    .iter()
+                    .zip(msgs.iter())
+                    .map(|(&v, &msg)| (posterior[v as usize] - msg).clamp(-clamp, clamp))
                     .collect();
                 let inputs = buf.clone();
                 Self::min_sum_reference(&mut buf, sign_target);
-                for (k, edge) in (s..e).enumerate() {
-                    posterior[self.edge_var()[edge] as usize] =
-                        (inputs[k] + buf[k]).clamp(-clamp, clamp);
-                    c2v[edge] = buf[k];
+                for (k, &v) in row.iter().enumerate() {
+                    posterior[v as usize] = (inputs[k] + buf[k]).clamp(-clamp, clamp);
                 }
+                *msgs = buf;
             }
             for (v, &llr) in posterior.iter().enumerate() {
                 hard.set(v, llr < 0.0);
             }
-            if self.syndrome_ok_reference(&hard, target) {
+            // Bit-by-bit convergence check.
+            let satisfied = rows.iter().enumerate().all(|(c, row)| {
+                row.iter().fold(false, |p, &v| p ^ hard.get(v as usize)) == target.get(c)
+            });
+            if satisfied {
                 return Ok(DecodeOutcome {
                     error_pattern: hard,
                     converged: true,
@@ -648,26 +635,6 @@ impl SyndromeDecoder {
             let mag = if i == min1_idx { min2 } else { min1 };
             *v = self_sign * signed_scale * if mag.is_finite() { mag } else { 0.0 };
         }
-    }
-
-    fn check_range(&self, c: usize) -> (usize, usize) {
-        let offsets = self.check_offsets();
-        (offsets[c] as usize, offsets[c + 1] as usize)
-    }
-
-    /// Bit-by-bit convergence check.
-    fn syndrome_ok_reference(&self, e: &BitVec, target: &BitVec) -> bool {
-        for c in 0..self.m() {
-            let (s, end) = self.check_range(c);
-            let mut p = false;
-            for edge in s..end {
-                p ^= e.get(self.edge_var()[edge] as usize);
-            }
-            if p != target.get(c) {
-                return false;
-            }
-        }
-        true
     }
 }
 

@@ -9,9 +9,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`matrix`] — sparse parity-check matrices (one flat, shared CSR), every
-//!   one quasi-cyclic at circulant 64 and verified at construction to form
-//!   circulant layers, with rotate-XOR syndromes;
+//! * [`matrix`] — sparse parity-check matrices, every one quasi-cyclic at
+//!   circulant 64 and stored as its base matrix (one `u32` per circulant:
+//!   base column and shift), with rotate-XOR syndromes;
 //! * [`decoder`] — the belief-propagation syndrome decoder: normalised
 //!   min-sum on the layered schedule, run as a circulant-lane sweep (AVX2 or
 //!   portable) that updates a whole 64-check layer in lockstep;

@@ -1,6 +1,4 @@
-//! Sparse parity-check matrices and their construction.
-
-use std::sync::Arc;
+//! Quasi-cyclic parity-check matrices, held as their base matrix.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -16,80 +14,73 @@ pub(crate) const LANES: usize = 64;
 /// the least row weight its protograph asks for.
 const MIN_BLOCK_BITS: usize = 4 * LANES;
 
-/// A sparse binary parity-check matrix, quasi-cyclic at circulant [`LANES`].
+/// A sparse binary parity-check matrix, quasi-cyclic at circulant [`LANES`],
+/// stored as its base (exponent) matrix.
 ///
-/// The bipartite Tanner graph is stored once, flat and `u32`-indexed, as a
-/// check-major CSR (`check_offsets` / `edge_var`). Decoders index messages by
-/// *edge id*, the position of an entry in the check-major edge list. The
-/// graph sits behind an [`Arc`], so cloning a matrix — and binding a decoder
-/// to it — shares the arrays instead of copying them.
+/// Base row `l` lists its entries `e_k = bc_k·64 + s_k`: base column `bc_k`,
+/// cyclic shift `s_k`. It stands for *layer* `l`, the 64 checks `l·64 + i`,
+/// check `l·64 + i` touching variable `bc_k·64 + (i + s_k) mod 64` in
+/// position `k`. Every base row has degree `d >= 2` and distinct base
+/// columns, which construction verifies. The 64 checks of a layer are then
+/// pairwise variable-disjoint, and syndrome word `l` is
+/// `XOR_k rotate_right(x.words[bc_k], s_k)` over the layer's entries.
 ///
-/// Every matrix is *circulant-layered*: its checks form layers of [`LANES`]
-/// rows lifted from one base row by cyclic shifts, which construction
-/// verifies edge by edge. For every layer `l` with base row
-/// `edge_var[check_offsets[l·64]..]` of degree `d >= 2`, check `l·64 + i`
-/// touches variable `(v_k & !63) | ((v_k + i) & 63)` in position `k`, the
-/// base columns `v_k >> 6` being distinct within the layer. The 64 checks of
-/// a layer are then pairwise variable-disjoint, and syndrome word `l` is
-/// `XOR_k rotate_right(x.words[bc_k], s_k)` over the layer's `(bc, s)` pairs.
+/// Decoders index messages by *edge id*: edge `k` of check `l·64 + i` is
+/// `64·row_offsets[l] + k·64 + i`, the layer's messages stored `[k][lane]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParityCheckMatrix {
-    graph: Arc<Graph>,
-}
-
-#[derive(Debug, PartialEq)]
-struct Graph {
     n: usize,
     m: usize,
-    /// Start of each check's edges in `edge_var` (length `m + 1`).
-    check_offsets: Vec<u32>,
-    /// Check-major variable indices, one per edge, every entry `< n`.
-    edge_var: Vec<u32>,
+    /// Start of each base row's entries in `entries` (length `m / 64 + 1`).
+    row_offsets: Vec<u32>,
+    /// Base-row entries, `base_column·64 + shift`, row after row.
+    entries: Vec<u32>,
 }
 
 impl ParityCheckMatrix {
     /// Number of variable nodes (codeword length).
     pub fn num_vars(&self) -> usize {
-        self.graph.n
+        self.n
     }
 
     /// Number of check nodes (syndrome length).
     pub fn num_checks(&self) -> usize {
-        self.graph.m
+        self.m
     }
 
     /// Design rate `1 - m/n`.
     pub fn rate(&self) -> f64 {
-        1.0 - self.graph.m as f64 / self.graph.n as f64
+        1.0 - self.m as f64 / self.n as f64
     }
 
     /// Total number of edges in the Tanner graph.
-    pub fn num_edges(&self) -> usize {
-        self.graph.edge_var.len()
+    pub(crate) fn num_edges(&self) -> usize {
+        self.entries.len() * LANES
     }
 
-    /// Variable neighbours of check `c`, in edge order.
-    pub fn check_neighbors(&self, c: usize) -> &[u32] {
-        let g = &*self.graph;
-        &g.edge_var[g.check_offsets[c] as usize..g.check_offsets[c + 1] as usize]
+    /// Variable neighbours of check `c`, in edge order, lifted from its base
+    /// row.
+    pub fn check_neighbors(&self, c: usize) -> Vec<u32> {
+        let lane = (c % LANES) as u32;
+        self.base_row(c / LANES)
+            .iter()
+            .map(|&e| (e & !63) | ((e + lane) & 63))
+            .collect()
     }
 
-    /// Check-major CSR offsets (length `num_checks() + 1`).
-    pub(crate) fn check_offsets(&self) -> &[u32] {
-        &self.graph.check_offsets
+    /// Start of each base row's entries (length `num_checks() / 64 + 1`).
+    pub(crate) fn row_offsets(&self) -> &[u32] {
+        &self.row_offsets
     }
 
-    /// Check-major variable indices, one per edge, every entry
-    /// `< num_vars()`.
-    pub(crate) fn edge_var(&self) -> &[u32] {
-        &self.graph.edge_var
+    /// Base-row entries `base_column·64 + shift`, every one `< num_vars()`.
+    pub(crate) fn entries(&self) -> &[u32] {
+        &self.entries
     }
 
-    /// Re-runs construction's edge-by-edge layer test on the stored graph.
-    #[cfg(test)]
-    pub(crate) fn is_circulant_layered(&self) -> bool {
-        let g = &*self.graph;
-        circulant_layered(g.n, g.m, &g.check_offsets, &g.edge_var)
+    /// Entries of base row `layer`.
+    fn base_row(&self, layer: usize) -> &[u32] {
+        &self.entries[self.row_offsets[layer] as usize..self.row_offsets[layer + 1] as usize]
     }
 
     /// Computes the syndrome `H x`.
@@ -98,7 +89,7 @@ impl ParityCheckMatrix {
     ///
     /// Panics if `x.len() != num_vars()`.
     pub fn syndrome(&self, x: &BitVec) -> BitVec {
-        let mut s = BitVec::zeros(self.graph.m);
+        let mut s = BitVec::zeros(self.m);
         self.syndrome_into(x, &mut s);
         s
     }
@@ -113,10 +104,10 @@ impl ParityCheckMatrix {
     pub fn syndrome_into(&self, x: &BitVec, out: &mut BitVec) {
         assert_eq!(
             x.len(),
-            self.graph.n,
+            self.n,
             "codeword length must equal the number of variables"
         );
-        out.reset_zeros(self.graph.m);
+        out.reset_zeros(self.m);
         self.syndrome_words(x.as_words(), out.as_words_mut());
     }
 
@@ -128,41 +119,14 @@ impl ParityCheckMatrix {
     ///
     /// Panics if either slice is not exactly the packed length.
     pub(crate) fn syndrome_words(&self, x: &[u64], out: &mut [u64]) {
-        let g = &*self.graph;
-        assert_eq!(x.len(), g.n / LANES, "packed codeword length");
-        assert_eq!(out.len(), g.m / LANES, "packed syndrome length");
+        assert_eq!(x.len(), self.n / LANES, "packed codeword length");
+        assert_eq!(out.len(), self.m / LANES, "packed syndrome length");
         for (layer, word) in out.iter_mut().enumerate() {
             *word = self
-                .check_neighbors(layer * LANES)
+                .base_row(layer)
                 .iter()
-                .fold(0, |acc, &v| acc ^ x[(v >> 6) as usize].rotate_right(v & 63));
+                .fold(0, |acc, &e| acc ^ x[(e >> 6) as usize].rotate_right(e & 63));
         }
-    }
-
-    /// Bit-by-bit syndrome computation: the oracle the packed
-    /// implementation is property-tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != num_vars()`.
-    #[cfg(test)]
-    pub(crate) fn syndrome_reference(&self, x: &BitVec) -> BitVec {
-        assert_eq!(
-            x.len(),
-            self.graph.n,
-            "codeword length must equal the number of variables"
-        );
-        let mut s = BitVec::zeros(self.graph.m);
-        for c in 0..self.graph.m {
-            let mut p = false;
-            for &v in self.check_neighbors(c) {
-                p ^= x.get(v as usize);
-            }
-            if p {
-                s.set(c, true);
-            }
-        }
-        s
     }
 
     /// Returns `true` when `H e` equals `target`.
@@ -173,35 +137,25 @@ impl ParityCheckMatrix {
     pub fn syndrome_matches(&self, e: &BitVec, target: &BitVec) -> bool {
         assert_eq!(
             target.len(),
-            self.graph.m,
+            self.m,
             "target syndrome length must equal the number of checks"
         );
         self.syndrome(e) == *target
-    }
-
-    /// Average variable-node degree.
-    pub fn avg_var_degree(&self) -> f64 {
-        self.num_edges() as f64 / self.graph.n as f64
-    }
-
-    /// Average check-node degree.
-    pub fn avg_check_degree(&self) -> f64 {
-        self.num_edges() as f64 / self.graph.m as f64
     }
 
     /// Builds a quasi-cyclic matrix at circulant [`LANES`] from a random
     /// protograph.
     ///
     /// The base graph has `m / 64` check rows and `n / 64` variable columns;
-    /// each base entry present is lifted to a `64 × 64` cyclic permutation
-    /// with a random shift.
+    /// each base entry present stands for a `64 × 64` cyclic permutation with
+    /// a random shift.
     ///
     /// # Errors
     ///
     /// Returns [`QkdError::InvalidParameter`] when the dimensions are
     /// degenerate or not multiples of 64, when `base_row_weight` is zero,
     /// exceeds the base columns or is too sparse to give every base column
-    /// degree 2, and when the protograph would not lift to circulant layers.
+    /// degree 2, and when the protograph leaves a base row below degree 2.
     pub fn quasi_cyclic(n: usize, m: usize, base_row_weight: usize, seed: u64) -> Result<Self> {
         validate_dims(n, m)?;
         if n % LANES != 0 || m % LANES != 0 {
@@ -239,47 +193,46 @@ impl ParityCheckMatrix {
         let total_edges = base_row_weight * base_rows;
         let col_weight = ((total_edges as f64 / base_cols as f64).round() as usize).max(2);
         let mut base: Vec<Vec<usize>> = vec![Vec::new(); base_rows];
+        // Each row's degree and last column, flat, for the least-loaded scan.
+        let mut loads = vec![(0usize, usize::MAX); base_rows];
         let mut candidates = Vec::with_capacity(base_rows);
         for c in 0..base_cols {
             for _ in 0..col_weight {
-                let open = |row: &Vec<usize>| row.last() != Some(&c);
-                let min_load = base.iter().filter(|row| open(row)).map(Vec::len).min();
+                // The least-loaded rows not yet holding `c`, in row order.
+                let mut min_load = usize::MAX;
                 candidates.clear();
-                candidates.extend(
-                    (0..base_rows).filter(|&r| open(&base[r]) && Some(base[r].len()) == min_load),
-                );
+                for (r, &(load, last)) in loads.iter().enumerate() {
+                    if last == c || load > min_load {
+                        continue;
+                    }
+                    if load < min_load {
+                        min_load = load;
+                        candidates.clear();
+                    }
+                    candidates.push(r);
+                }
                 if candidates.is_empty() {
                     break;
                 }
                 let r = candidates[rng.gen_range(0..candidates.len())];
                 base[r].push(c);
+                loads[r] = (loads[r].0 + 1, c);
             }
         }
 
-        // Lift in place: every check of base row `br` has the row's degree,
-        // and its `k`-th entry comes from the row's `k`-th base column. The
-        // shifts are drawn row by row, column by column.
-        let num_edges = base.iter().map(Vec::len).sum::<usize>() * LANES;
-        assert!(num_edges < u32::MAX as usize, "graph exceeds u32 indexing");
-        let mut check_offsets = Vec::with_capacity(m + 1);
-        check_offsets.push(0u32);
-        let mut edge_var = vec![0u32; num_edges];
-        let mut start = 0;
+        // Shifts are drawn row by row, column by column.
+        assert!(n < u32::MAX as usize, "block exceeds u32 indexing");
+        let mut row_offsets = vec![0u32];
+        let mut entries = Vec::new();
         for cols in &base {
-            let degree = cols.len();
-            for (k, &bc) in cols.iter().enumerate() {
-                let shift = rng.gen_range(0..LANES);
-                for i in 0..LANES {
-                    edge_var[start + i * degree + k] = (bc * LANES + (i + shift) % LANES) as u32;
-                }
-            }
-            for _ in 0..LANES {
-                start += degree;
-                check_offsets.push(start as u32);
-            }
+            entries.extend(
+                cols.iter()
+                    .map(|&bc| (bc * LANES + rng.gen_range(0..LANES)) as u32),
+            );
+            row_offsets.push(entries.len() as u32);
         }
 
-        Self::from_layered_csr(n, m, check_offsets, edge_var).ok_or_else(|| {
+        Self::from_base(n, m, row_offsets, entries).ok_or_else(|| {
             QkdError::invalid_parameter(
                 "base_row_weight",
                 format!("a {base_rows}×{base_cols} protograph left a base row below degree 2"),
@@ -287,41 +240,29 @@ impl ParityCheckMatrix {
         })
     }
 
-    /// Wraps a check-major CSR, or `None` when its checks do not form
-    /// circulant layers.
-    fn from_layered_csr(
-        n: usize,
-        m: usize,
-        check_offsets: Vec<u32>,
-        edge_var: Vec<u32>,
-    ) -> Option<Self> {
-        circulant_layered(n, m, &check_offsets, &edge_var).then(|| Self {
-            graph: Arc::new(Graph {
-                n,
-                m,
-                check_offsets,
-                edge_var,
-            }),
-        })
-    }
-
-    /// Builds a matrix from explicit check rows (`rows[c]` lists the
-    /// variables of check `c` in edge order), refusing any that are not
-    /// circulant layers.
-    #[cfg(test)]
-    pub(crate) fn from_rows(n: usize, m: usize, rows: &[Vec<usize>]) -> Result<Self> {
-        assert_eq!(rows.len(), m, "one row per check");
-        let mut check_offsets = vec![0u32];
-        let mut edge_var = Vec::new();
-        for row in rows {
-            edge_var.extend(row.iter().map(|&v| {
-                assert!(v < n, "variable {v} out of range for {n} variables");
-                v as u32
-            }));
-            check_offsets.push(edge_var.len() as u32);
+    /// Wraps a base matrix, or `None` when a base row has degree under 2 or
+    /// repeats a base column (its checks would share variables).
+    fn from_base(n: usize, m: usize, row_offsets: Vec<u32>, entries: Vec<u32>) -> Option<Self> {
+        // Layer (+1) that last used each base column.
+        let mut used_by = vec![0u32; n / LANES];
+        for (stamp, row) in (1..).zip(row_offsets.windows(2)) {
+            let row = &entries[row[0] as usize..row[1] as usize];
+            if row.len() < 2 {
+                return None;
+            }
+            for &e in row {
+                let used = &mut used_by[e as usize / LANES];
+                if *used == stamp {
+                    return None;
+                }
+                *used = stamp;
+            }
         }
-        Self::from_layered_csr(n, m, check_offsets, edge_var).ok_or_else(|| {
-            QkdError::invalid_parameter("rows", "checks do not form circulant layers")
+        Some(Self {
+            n,
+            m,
+            row_offsets,
+            entries,
         })
     }
 
@@ -367,37 +308,6 @@ pub(crate) fn validate_block_size(n: usize) -> Result<()> {
     Ok(())
 }
 
-/// The edge-by-edge layer test every matrix passes at construction (see
-/// [`ParityCheckMatrix`]).
-fn circulant_layered(n: usize, m: usize, check_offsets: &[u32], edge_var: &[u32]) -> bool {
-    if n % LANES != 0 || m % LANES != 0 {
-        return false;
-    }
-    let row = |c: usize| &edge_var[check_offsets[c] as usize..check_offsets[c + 1] as usize];
-    // Layer (+1) that last used each base column.
-    let mut used_by = vec![0u32; n / LANES];
-    for layer in 0..m / LANES {
-        let base = row(layer * LANES);
-        if base.len() < 2 {
-            return false;
-        }
-        for &v in base {
-            let stamp = &mut used_by[v as usize / LANES];
-            if *stamp == layer as u32 + 1 {
-                return false;
-            }
-            *stamp = layer as u32 + 1;
-        }
-        for i in 1..LANES {
-            let lifted = base.iter().map(|&v| (v & !63) | ((v + i as u32) & 63));
-            if !row(layer * LANES + i).iter().copied().eq(lifted) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 fn validate_dims(n: usize, m: usize) -> Result<()> {
     if n == 0 || m == 0 {
         return Err(QkdError::invalid_parameter(
@@ -414,6 +324,101 @@ fn validate_dims(n: usize, m: usize) -> Result<()> {
     Ok(())
 }
 
+/// The expanded, per-check view of a matrix: the oracles' row view and the
+/// edge-by-edge structure test.
+#[cfg(test)]
+impl ParityCheckMatrix {
+    /// Every check's variables in edge order, lifted from the base rows.
+    pub(crate) fn rows(&self) -> Vec<Vec<u32>> {
+        (0..self.m).map(|c| self.check_neighbors(c)).collect()
+    }
+
+    /// Runs the edge-by-edge layer test on the expansion.
+    pub(crate) fn is_circulant_layered(&self) -> bool {
+        circulant_layered(self.n, self.m, &self.rows())
+    }
+
+    /// Builds a matrix from explicit check rows (`rows[c]` lists the
+    /// variables of check `c` in edge order), refusing any that are not
+    /// circulant layers: each layer's head row must pass construction's
+    /// base-row checks, and every row must be its head lifted.
+    pub(crate) fn from_rows(n: usize, m: usize, rows: &[Vec<u32>]) -> Result<Self> {
+        assert_eq!(rows.len(), m, "one row per check");
+        assert!(
+            rows.iter().flatten().all(|&v| (v as usize) < n),
+            "variable out of range"
+        );
+        let refused = || QkdError::invalid_parameter("rows", "checks do not form circulant layers");
+        if n % LANES != 0 || m % LANES != 0 {
+            return Err(refused());
+        }
+        let mut row_offsets = vec![0u32];
+        let mut entries = Vec::new();
+        for head in rows.iter().step_by(LANES) {
+            entries.extend(head);
+            row_offsets.push(entries.len() as u32);
+        }
+        let matrix = Self::from_base(n, m, row_offsets, entries).ok_or_else(refused)?;
+        if matrix.rows() != rows {
+            return Err(refused());
+        }
+        Ok(matrix)
+    }
+
+    /// Bit-by-bit syndrome computation: the oracle the packed
+    /// implementation is property-tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != num_vars()`.
+    pub(crate) fn syndrome_reference(&self, x: &BitVec) -> BitVec {
+        assert_eq!(
+            x.len(),
+            self.n,
+            "codeword length must equal the number of variables"
+        );
+        let mut s = BitVec::zeros(self.m);
+        for (c, row) in self.rows().iter().enumerate() {
+            s.set(c, row.iter().fold(false, |p, &v| p ^ x.get(v as usize)));
+        }
+        s
+    }
+}
+
+/// The edge-by-edge layer test on per-check rows, written apart from the
+/// base-row checks it oracles: `n` and `m` whole circulants, and every
+/// 64-check layer its head row `l·64` lifted — check `l·64 + i` touching
+/// `(v & !63) | ((v + i) & 63)` for head entry `v` — with degree >= 2 and
+/// distinct base columns.
+#[cfg(test)]
+fn circulant_layered(n: usize, m: usize, rows: &[Vec<u32>]) -> bool {
+    if n % LANES != 0 || m % LANES != 0 {
+        return false;
+    }
+    // Layer (+1) that last used each base column.
+    let mut used_by = vec![0u32; n / LANES];
+    for (stamp, layer) in (1..).zip(rows.chunks(LANES)) {
+        let base = &layer[0];
+        if base.len() < 2 {
+            return false;
+        }
+        for &v in base {
+            let used = &mut used_by[v as usize / LANES];
+            if *used == stamp {
+                return false;
+            }
+            *used = stamp;
+        }
+        for (i, row) in (0..).zip(layer) {
+            let lifted = base.iter().map(|&v| (v & !63) | ((v + i) & 63));
+            if !row.iter().copied().eq(lifted) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -421,11 +426,11 @@ pub(crate) mod tests {
 
     /// Check rows of a circulant-layered matrix: `layers[l]` lists the
     /// `(base column, shift)` pairs of layer `l`.
-    pub(crate) fn layered_rows(layers: &[Vec<(usize, usize)>]) -> Vec<Vec<usize>> {
+    pub(crate) fn layered_rows(layers: &[Vec<(usize, usize)>]) -> Vec<Vec<u32>> {
         let lift = |layer: &[(usize, usize)], i: usize| {
             layer
                 .iter()
-                .map(|&(bc, s)| bc * LANES + (i + s) % LANES)
+                .map(|&(bc, s)| (bc * LANES + (i + s) % LANES) as u32)
                 .collect()
         };
         layers
@@ -467,7 +472,7 @@ pub(crate) mod tests {
 
     fn var_degrees(h: &ParityCheckMatrix) -> Vec<usize> {
         let mut degrees = vec![0; h.num_vars()];
-        for &v in h.edge_var() {
+        for v in h.rows().concat() {
             degrees[v as usize] += 1;
         }
         degrees
@@ -600,8 +605,24 @@ pub(crate) mod tests {
             assert_eq!(h.check_neighbors(c).len(), 8);
         }
         assert!((h.rate() - 0.75).abs() < 1e-9);
-        assert!((h.avg_check_degree() - 8.0).abs() < 1e-9);
-        assert!((h.avg_var_degree() - 2.0).abs() < 1e-9);
+        // Check degree 8 and variable degree 2 on average.
+        assert_eq!(h.num_edges(), 256 * 8);
+        assert_eq!(h.num_edges(), 1024 * 2);
+    }
+
+    /// Every library code, expanded to its per-check rows, passes the
+    /// edge-by-edge layer test, and those rows rebuild the very matrix.
+    #[test]
+    fn library_codes_expand_to_circulant_layers_and_back() {
+        use crate::reconciler::DEFAULT_RATES;
+        for n in [4096, 16_384] {
+            for (i, &rate) in DEFAULT_RATES.iter().enumerate() {
+                let h = ParityCheckMatrix::for_rate(n, rate, 0xC0DE + i as u64).unwrap();
+                assert!(h.is_circulant_layered(), "rate {rate} at {n} bits");
+                let rebuilt = ParityCheckMatrix::from_rows(n, h.num_checks(), &h.rows()).unwrap();
+                assert_eq!(rebuilt, h, "rate {rate} at {n} bits");
+            }
+        }
     }
 
     #[test]

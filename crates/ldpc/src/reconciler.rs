@@ -7,7 +7,6 @@
 //! decoder fails to converge — the practical equivalent of blind
 //! reconciliation, with every disclosed syndrome counted as leakage.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -52,17 +51,15 @@ struct LibraryEntry {
 }
 
 impl CodeLibrary {
-    /// Builds a library for `block_size`-bit blocks at the given design rates.
-    ///
-    /// The codes are independent (code `i` is seeded `seed + i`), so they are
-    /// built on up to `available_parallelism` threads, longest (lowest rate)
-    /// first; the library is the same whatever the thread count.
+    /// Builds a library for `block_size`-bit blocks at the given design rates,
+    /// code `i` seeded `seed + i`, in `rates` order.
     ///
     /// # Errors
     ///
     /// Returns [`QkdError::InvalidParameter`] when `block_size` is one the
     /// quasi-cyclic construction cannot build exactly (under 256 bits or not
-    /// a multiple of 64), or a rate is degenerate or too high for the size.
+    /// a multiple of 64), or a rate is degenerate or too high for the size;
+    /// the error is that of the first such rate in `rates` order.
     pub fn new(
         block_size: usize,
         rates: &[f64],
@@ -75,46 +72,19 @@ impl CodeLibrary {
                 "at least one design rate is required",
             ));
         }
-        let build = |i: usize| -> Result<LibraryEntry> {
-            let matrix =
-                ParityCheckMatrix::for_rate(block_size, rates[i], seed.wrapping_add(i as u64))?;
-            let decoder = SyndromeDecoder::new(&matrix, decoder_config)?;
-            Ok(LibraryEntry {
-                rate: rates[i],
-                matrix,
-                decoder,
+        let mut entries = rates
+            .iter()
+            .enumerate()
+            .map(|(i, &rate)| {
+                let matrix =
+                    ParityCheckMatrix::for_rate(block_size, rate, seed.wrapping_add(i as u64))?;
+                let decoder = SyndromeDecoder::new(&matrix, decoder_config)?;
+                Ok(LibraryEntry {
+                    rate,
+                    matrix,
+                    decoder,
+                })
             })
-        };
-        let mut longest_first: Vec<usize> = (0..rates.len()).collect();
-        longest_first.sort_by(|&a, &b| rates[a].total_cmp(&rates[b]));
-        let next = AtomicUsize::new(0);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(rates.len());
-        let worker = || {
-            let mut done = Vec::new();
-            // Relaxed: the counter hands out indices and publishes nothing
-            // else.
-            while let Some(&i) = longest_first.get(next.fetch_add(1, Ordering::Relaxed)) {
-                done.push((i, build(i)));
-            }
-            done
-        };
-        // The calling thread is one of the workers.
-        let mut done = std::thread::scope(|scope| {
-            let others: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            let mut done = worker();
-            for other in others {
-                done.extend(other.join().expect("code construction panicked"));
-            }
-            done
-        });
-        // Back in `rates` order, so the error reported is the first one in
-        // that order whichever thread met it.
-        done.sort_by_key(|&(i, _)| i);
-        let mut entries = done
-            .into_iter()
-            .map(|(_, entry)| entry)
             .collect::<Result<Vec<_>>>()?;
         // Sort descending by rate so "highest feasible rate" is a linear scan.
         entries.sort_by(|a, b| b.rate.partial_cmp(&a.rate).expect("rates are finite"));
@@ -146,12 +116,12 @@ impl CodeLibrary {
     /// Returns the process-wide shared library for this exact configuration,
     /// building it on first use.
     ///
-    /// A library is nine codes and their decoders — milliseconds to build and
-    /// megabytes to hold at 16 384 bits — and a pure function of
+    /// A library is nine codes and their decoders — a few milliseconds to
+    /// build at 16 384 bits — and a pure function of
     /// `(block_size, rates, decoder_config, seed)`. Every
     /// [`crate::LdpcReconciler`] with the same configuration (e.g. a fleet of
     /// engines at one block size) therefore shares one immutable library
-    /// instead of rebuilding it per engine.
+    /// instead of paying that build per engine.
     ///
     /// # Errors
     ///
@@ -398,9 +368,8 @@ impl Drop for ReconcilerScratch {
 /// Rate-adaptive LDPC reconciler for fixed-size blocks.
 ///
 /// The code library is shared process-wide between reconcilers with equal
-/// configurations (see [`CodeLibrary::shared`]): constructing a second engine
-/// at the same block size is cheap, which is what makes multi-link fleets
-/// affordable.
+/// configurations (see [`CodeLibrary::shared`]): a second engine at the same
+/// block size skips the library build.
 ///
 /// Hot paths should pass their own long-lived [`ReconcilerScratch`] to
 /// [`LdpcReconciler::reconcile_with_scratch`]; the plain
@@ -662,8 +631,13 @@ mod tests {
     use qkd_types::rng::derive_rng;
     use rand::Rng;
 
+    /// Serialises the tests that assert on the process-wide library cache,
+    /// so one's evictions cannot land between another's two lookups.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn equal_configs_share_one_code_library() {
+        let _cache = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let a = LdpcReconciler::new(ReconcilerConfig::for_block_size(1024)).unwrap();
         let b = LdpcReconciler::new(ReconcilerConfig::for_block_size(1024)).unwrap();
         assert!(
@@ -900,32 +874,42 @@ mod tests {
         assert!(CodeLibrary::new(256, &[0.5], DecoderConfig::default(), 1).is_ok());
     }
 
+    /// The error reported is that of the first failing rate in `rates`
+    /// order: at 512 bits, 1.5 is no rate at all and 0.85 leaves one base
+    /// row, too sparse to give eight base columns degree 2.
     #[test]
-    fn concurrent_build_equals_the_sequential_one() {
-        for block in [1024usize, 16_384] {
-            let config = ReconcilerConfig::for_block_size(block);
-            let library =
-                CodeLibrary::new(block, &config.rates, config.decoder, config.seed).unwrap();
-            let mut sequential: Vec<(f64, ParityCheckMatrix)> = config
-                .rates
-                .iter()
-                .enumerate()
-                .map(|(i, &rate)| {
-                    let seed = config.seed + i as u64;
-                    (
-                        rate,
-                        ParityCheckMatrix::for_rate(block, rate, seed).unwrap(),
-                    )
-                })
-                .collect();
-            sequential.sort_by(|a, b| b.0.total_cmp(&a.0));
-            assert_eq!(library.entries.len(), sequential.len());
-            for (entry, (rate, matrix)) in library.entries.iter().zip(&sequential) {
-                assert_eq!(entry.rate, *rate);
-                assert_eq!(entry.matrix, *matrix, "rate {rate} at {block} bits");
-                assert_eq!(entry.decoder.block_len(), block);
-            }
+    fn library_reports_the_first_failing_rate() {
+        let first_failure =
+            |rates: &[f64]| match CodeLibrary::new(512, rates, DecoderConfig::default(), 1)
+                .unwrap_err()
+            {
+                QkdError::InvalidParameter { name, .. } => name,
+                other => panic!("unexpected error {other}"),
+            };
+        assert_eq!(first_failure(&[0.5, 1.5, 0.85]), "rate");
+        assert_eq!(first_failure(&[0.5, 0.85, 1.5]), "base_row_weight");
+    }
+
+    /// The shared cache holds eight libraries: the least recently used one
+    /// is rebuilt once eight others have been asked for, and a reconciler
+    /// holding the evicted library keeps reconciling with it.
+    #[test]
+    fn shared_cache_evicts_the_least_recently_used_library() {
+        let _cache = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let mut config = ReconcilerConfig::for_block_size(1024);
+        config.seed = 0x5EED_0000;
+        let holder = LdpcReconciler::new(config.clone()).unwrap();
+        for seed in 0x5EED_0001..=0x5EED_0008 {
+            CodeLibrary::shared(256, &[0.5], DecoderConfig::default(), seed).unwrap();
         }
+        let rebuilt =
+            CodeLibrary::shared(1024, &config.rates, config.decoder, config.seed).unwrap();
+        assert!(!Arc::ptr_eq(&holder.library, &rebuilt));
+
+        let (alice, bob, errs) = correlated(1024, 0.02, 61);
+        let out = holder.reconcile(&alice, &bob, 0.02).unwrap();
+        assert_eq!(out.corrected, alice);
+        assert_eq!(out.corrected_errors, errs);
     }
 
     #[test]

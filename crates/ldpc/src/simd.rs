@@ -40,13 +40,13 @@ use crate::matrix::LANES;
 /// One min-sum layered sweep over a circulant-layered matrix, a whole
 /// 64-check layer in lockstep: lane `i` of layer `l` is check `l·64 + i`.
 ///
-/// `check_offsets`/`edge_var` are the matrix's check-major CSR; the entries
-/// `v_k` of row `l·64` are the layer's table (block `v_k >> 6`, shift
-/// `v_k & 63`). `posterior` is laid out in blocks of [`BLOCK_STRIDE`] (64
-/// variables, then a mirror of the first [`MIRROR`]), `c2v` holds the layer's
-/// messages at `check_offsets[l·64] + k·64 + lane`, `stash` receives the
-/// extrinsic inputs of the eight lanes in flight, `target_words[l]` the
-/// layer's 64 target-syndrome bits.
+/// `row_offsets`/`entries` are the matrix's base rows; the entries `v_k` of
+/// base row `l` are the layer's table (block `v_k >> 6`, shift `v_k & 63`).
+/// `posterior` is laid out in blocks of [`BLOCK_STRIDE`] (64 variables, then
+/// a mirror of the first [`MIRROR`]), `c2v` holds the layer's messages at
+/// `64·row_offsets[l] + k·64 + lane`, `stash` receives the extrinsic inputs
+/// of the eight lanes in flight, `target_words[l]` the layer's 64
+/// target-syndrome bits.
 ///
 /// Eight lanes (two registers) run together so the two-minimum chain of one
 /// hides behind the other's.
@@ -54,13 +54,13 @@ use crate::matrix::LANES;
 /// # Safety
 ///
 /// Caller must ensure AVX2 is available. Every bound the unchecked accesses
-/// rely on is asserted here; a matrix that is not circulant-layered yields
-/// wrong messages or a panic, never an out-of-bounds access.
+/// rely on is asserted here; base rows that repeat a base column yield wrong
+/// messages or a panic, never an out-of-bounds access.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn circulant_layered_sweep(
-    check_offsets: &[u32],
-    edge_var: &[u32],
+    row_offsets: &[u32],
+    entries: &[u32],
     target_words: &[u64],
     scale: f64,
     clamp: f64,
@@ -80,8 +80,8 @@ pub(crate) unsafe fn circulant_layered_sweep(
     let blocks = posterior.len() / BLOCK_STRIDE;
 
     for (layer, &target) in target_words.iter().enumerate() {
-        let start = check_offsets[layer * LANES] as usize;
-        let base = &edge_var[start..check_offsets[layer * LANES + 1] as usize];
+        let base = &entries[row_offsets[layer] as usize..row_offsets[layer + 1] as usize];
+        let start = row_offsets[layer] as usize * LANES;
         let msgs = &mut c2v[start..start + base.len() * LANES];
         let vals = &mut stash[..base.len() * 4 * GROUPS];
         assert!(
